@@ -1,4 +1,8 @@
-"""Positive Datalog core: AST, textual syntax, naive fixpoint evaluation."""
+"""Positive Datalog core: AST, textual syntax, stratified semi-naive evaluation.
+
+``min``/``max`` over a lower stratum read its complete relation; see
+``lila.datalog.evaluate`` for their semantics inside recursion.
+"""
 
 from .ast import (
     Aggregate,

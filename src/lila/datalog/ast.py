@@ -62,6 +62,11 @@ class Atom:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # rebuild rather than copy the cached hash: string hashes differ
+        # between processes
+        return (Atom, (self.predicate, self.terms))
+
     @property
     def arity(self) -> int:
         return len(self.terms)
@@ -126,6 +131,16 @@ BodyElement = Union[Atom, BuiltIn]
 class Rule:
     head: Atom
     body: tuple[BodyElement, ...]
+
+    def __post_init__(self):
+        # rule tuples key the evaluator's plan cache on every evaluation
+        object.__setattr__(self, "_hash", hash((self.head, self.body)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Rule, (self.head, self.body))
 
     def __str__(self) -> str:
         return f"{self.head}:-{','.join(str(b) for b in self.body)}."

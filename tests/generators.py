@@ -5,7 +5,18 @@ from __future__ import annotations
 import random
 import string
 
-from lila.datalog.ast import Atom, DatalogProgram, NumberConst, Rule, StringConst, Variable
+from lila.datalog.ast import (
+    ASSIGN_OP,
+    Aggregate,
+    Arith,
+    Atom,
+    BuiltIn,
+    DatalogProgram,
+    NumberConst,
+    Rule,
+    StringConst,
+    Variable,
+)
 
 
 def random_program(rng: random.Random) -> DatalogProgram:
@@ -49,6 +60,116 @@ def random_program(rng: random.Random) -> DatalogProgram:
             for _ in range(head_arity)
         )
         rules.append(Rule(Atom(head_name, head_terms), tuple(body)))
+    return DatalogProgram(frozenset(facts), tuple(rules))
+
+
+_NUM, _STR = "num", "str"
+
+
+def _random_builtin(rng: random.Random, bound: dict[str, str], columns: dict) -> list[BuiltIn]:
+    """One built-in over the variables bound so far (name -> column type).
+
+    May bind a fresh numeric variable; its value is capped at 5 so that
+    recursion through arithmetic reaches a fixpoint.
+    """
+    nums = [Variable(v) for v, kind in bound.items() if kind == _NUM]
+    strs = [Variable(v) for v, kind in bound.items() if kind == _STR]
+    small = [NumberConst(i) for i in range(4)]
+    texts = [StringConst(c) for c in ("a", "ab", "b", "ba")]
+    fresh = Variable(f"v{len(bound)}")
+    kind = rng.random()
+    if kind < 0.2 and nums:
+        other = rng.choice(nums + small)
+        return [BuiltIn(rng.choice(("<", ">", "<=", ">=")), rng.choice(nums), other)]
+    if kind < 0.35 and strs:
+        op = rng.choice(("equals", "contains", "startswith", "endswith"))
+        return [BuiltIn(op, rng.choice(strs), rng.choice(strs + texts))]
+    if kind < 0.55 and bound:
+        # selection on a bound variable: `x = c`, `c = x` or `x := c`
+        var = Variable(rng.choice(list(bound)))
+        const = rng.choice(small if bound[var.name] == _NUM else texts)
+        op = rng.choice(("=", "=", ASSIGN_OP))
+        return [BuiltIn(op, const, var) if op == "=" and rng.random() < 0.3 else BuiltIn(op, var, const)]
+    if kind < 0.8 and nums:
+        expr = Arith(rng.choice(("+", "*", "/")), rng.choice(nums), rng.choice(nums + small[1:]))
+        bound[fresh.name] = _NUM
+        if rng.random() < 0.3:
+            step = BuiltIn("=", expr, fresh)
+        else:
+            step = BuiltIn(rng.choice((ASSIGN_OP, "=")), fresh, expr)
+        return [step, BuiltIn("<=", fresh, NumberConst(5))]
+    if kind < 0.9 and strs:
+        bound[fresh.name] = _STR
+        return [BuiltIn(rng.choice((ASSIGN_OP, "=")), fresh, rng.choice(strs))]
+    # min/max over a fact-only predicate with a numeric column
+    name = rng.choice(("e0", "e1"))
+    numeric = [i for i, k in enumerate(columns[name]) if k == _NUM]
+    if not numeric:
+        return []
+    collect = rng.choice(numeric)
+    terms = []
+    for i, k in enumerate(columns[name]):
+        if i == collect:
+            terms.append(Variable(f"agg{len(bound)}"))
+            continue
+        pool = nums if k == _NUM else strs
+        terms.append(rng.choice(pool) if pool and rng.random() < 0.5 else rng.choice(small if k == _NUM else texts))
+    bound[fresh.name] = _NUM
+    return [BuiltIn("=", fresh, Aggregate(rng.choice(("min", "max")), Atom(name, tuple(terms))))]
+
+
+def random_builtin_program(rng: random.Random) -> DatalogProgram:
+    """Small program with built-ins and recursion, range-restricted by construction.
+
+    Columns are typed (number or string), so most built-ins see operands of
+    the right kind. ``e0``/``e1`` only have facts, so ``min``/``max`` (which
+    read only them) see complete relations; ``i0``..``i2`` are derived, often
+    recursively. Built-ins follow any body atom, so selections sit both
+    directly behind the atom that binds their variable and further away.
+    """
+    columns = {
+        name: tuple(rng.choice((_NUM, _NUM, _STR)) for _ in range(rng.randint(1, 3)))
+        for name in ("e0", "e1", "i0", "i1", "i2")
+    }
+    small = [NumberConst(i) for i in range(4)]
+    texts = [StringConst(c) for c in ("a", "ab", "b", "ba")]
+
+    def const(kind):
+        return rng.choice(small if kind == _NUM else texts)
+
+    facts = set()
+    for _ in range(rng.randint(4, 24)):
+        name = rng.choice(list(columns))
+        facts.add(Atom(name, tuple(const(k) for k in columns[name])))
+
+    rules = []
+    for _ in range(rng.randint(1, 5)):
+        bound: dict[str, str] = {}
+        body = []
+        for _ in range(rng.randint(1, 3)):
+            name = rng.choice(list(columns))
+            terms = []
+            for kind in columns[name]:
+                pool = [v for v, k in bound.items() if k == kind]
+                if rng.random() < 0.2:
+                    terms.append(const(kind))
+                elif pool and rng.random() < 0.5:
+                    terms.append(Variable(rng.choice(pool)))
+                else:
+                    var = f"v{len(bound)}"
+                    bound[var] = kind
+                    terms.append(Variable(var))
+            body.append(Atom(name, tuple(terms)))
+            if rng.random() < 0.4:
+                body += _random_builtin(rng, bound, columns)
+        for _ in range(rng.randint(0, 2)):
+            body += _random_builtin(rng, bound, columns)
+        head = rng.choice(("i0", "i1", "i2"))
+        head_terms = []
+        for kind in columns[head]:
+            pool = [v for v, k in bound.items() if k == kind]
+            head_terms.append(Variable(rng.choice(pool)) if pool and rng.random() < 0.85 else const(kind))
+        rules.append(Rule(Atom(head, tuple(head_terms)), tuple(body)))
     return DatalogProgram(frozenset(facts), tuple(rules))
 
 

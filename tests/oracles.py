@@ -1,8 +1,9 @@
 """Independent oracles used by the test suite.
 
-These deliberately avoid the library's unification/evaluation machinery:
-the Datalog oracle enumerates all ground instantiations over the program's
-constant domain and checks body membership directly.
+The brute-force Datalog oracle deliberately avoids the library's
+unification/evaluation machinery: it enumerates all ground instantiations over
+the program's constant domain and checks body membership directly. The naive
+evaluator covers built-ins, whose semantics it takes from the library.
 """
 
 from __future__ import annotations
@@ -10,6 +11,13 @@ from __future__ import annotations
 import itertools
 
 from lila.datalog.ast import Atom, DatalogProgram, Rule, Term, Variable
+from lila.datalog.evaluate import (
+    EvaluationError,
+    _eval_builtin,
+    _ground_head,
+    _match_atom,
+    _Store,
+)
 
 
 def _constants(program: DatalogProgram) -> list[Term]:
@@ -73,3 +81,35 @@ def nested_loop_union(r: list[tuple], s: list[tuple]) -> set[tuple]:
 
 def nested_loop_select(r: list[tuple], position: int, predicate) -> set[tuple]:
     return {row for row in r if predicate(row[position])}
+
+
+def naive_evaluate(program: DatalogProgram, max_iterations: int = 10_000) -> frozenset[Atom]:
+    """Naive fixpoint: every round fires every rule over all facts by nested loops.
+
+    This was the library's evaluator before stratified semi-naive evaluation;
+    it shares only the built-in semantics. ``min``/``max`` here read the
+    relation of the round, so results agree with ``evaluate`` only while
+    aggregates read predicates that no rule derives.
+    """
+    facts = set(program.facts)
+    for _ in range(max_iterations):
+        store = _Store(facts)
+        new_facts: set[Atom] = set()
+        for rule in program.rules:
+            substs: list[dict] = [{}]
+            for elem in rule.body:
+                if isinstance(elem, Atom):
+                    candidates = store.rows.get((elem.predicate, elem.arity), ())
+                    substs = [
+                        m
+                        for s in substs
+                        for fact in candidates
+                        if (m := _match_atom(elem, fact, s)) is not None
+                    ]
+                else:
+                    substs = [m for s in substs if (m := _eval_builtin(elem, s, store, rule)) is not None]
+            new_facts |= {_ground_head(rule.head, s, rule) for s in substs}
+        if new_facts <= facts:
+            return frozenset(facts)
+        facts |= new_facts
+    raise EvaluationError(f"no fixpoint after {max_iterations} iterations")

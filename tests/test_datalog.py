@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import random
+import sys
+import time
+from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 from lila.datalog import (
@@ -23,9 +26,10 @@ from lila.datalog import (
     validate,
 )
 
-from .generators import random_program
+from .generators import random_builtin_program, random_program
 from .oracles import (
     brute_force_evaluate,
+    naive_evaluate,
     nested_loop_join,
     nested_loop_project,
     nested_loop_select,
@@ -213,6 +217,54 @@ def test_minute_sampling_recursion():
     }
 
 
+def test_selection_after_a_failing_builtin_still_sees_every_row():
+    # x=1 selects through the index only when nothing stands between it and
+    # p; here the division must still see the row with x=0
+    program = parse_program("p(0,1). p(1,2). q(x):-p(x,y),z:=y/x,x=1.")
+    with pytest.raises(EvaluationError, match="division by zero"):
+        evaluate(program)
+
+
+def test_aggregate_reads_the_complete_lower_stratum():
+    # max reads path only once it is complete; far(2)..far(4) would be the
+    # maxima of a half-built path
+    program = parse_program(
+        "e(1,2). e(2,3). e(3,4). e(4,5). path(x,y):-e(x,y). path(x,z):-path(x,y),e(y,z). "
+        "far(y):-path(1,w),y=max(path(1,z))."
+    )
+    assert atoms(query(program, parse_atom("far(y)"))) == {"far(5)"}
+
+
+def test_aggregate_over_its_own_stratum_terminates():
+    # only the aggregate reads c, so the rule must be re-fired in full each round
+    bounded = parse_program("e(1). c(1). c(y):-e(x),m=max(c(z)),y:=m+1,y<=5.")
+    assert atoms(query(bounded, parse_atom("c(y)"))) == {f"c({i})" for i in range(1, 6)}
+    unbounded = parse_program("e(1). c(1). c(y):-e(x),m=max(c(z)),y:=m+1.")
+    with pytest.raises(EvaluationError, match=r"c\(y\)"):
+        evaluate(unbounded, max_iterations=50)
+
+
+def test_chain_closure_scales():
+    n = 200
+    edges = " ".join(f"e({i},{i + 1})." for i in range(n))
+    program = parse_program(edges + " path(x,y):-e(x,y). path(x,z):-path(x,y),e(y,z).")
+    started = time.perf_counter()
+    result = evaluate(program)
+    elapsed = time.perf_counter() - started
+    successors = {i: [i + 1] for i in range(n)}
+    reachable = set()
+    for start in range(n + 1):
+        queue = deque(successors.get(start, ()))
+        while queue:
+            node = queue.popleft()
+            reachable.add((start, node))
+            queue.extend(successors.get(node, ()))
+    paths = {tuple(t.value for t in a.terms) for a in result if a.predicate == "path"}
+    assert paths == reachable
+    assert len(result) == 20_300
+    assert elapsed < 5.0, f"took {elapsed:.2f}s"
+
+
 # --- relational algebra identities ------------------------------------------
 
 
@@ -330,6 +382,21 @@ def test_monotonicity(seed):
     assert evaluate(grown) >= base
 
 
+def _outcome(evaluator, program):
+    try:
+        return evaluator(program)
+    except EvaluationError:
+        return EvaluationError
+
+
+@settings(max_examples=300, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_evaluate_matches_naive_oracle_with_builtins(rng):
+    program = random_builtin_program(rng)
+    note(str(program))
+    assert _outcome(evaluate, program) == _outcome(naive_evaluate, program)
+
+
 def test_fixpoint_idempotence():
     rng = random.Random(17)
     for _ in range(25):
@@ -337,6 +404,34 @@ def test_fixpoint_idempotence():
         fixed = evaluate(program)
         again = evaluate(DatalogProgram(fixed, program.rules))
         assert again == fixed
+
+
+def test_pickled_atoms_and_rules_hash_in_another_process():
+    # atoms and rules cache their hash; a copy unpickled in a process with
+    # another string hash seed must still be found in sets
+    import os
+    import subprocess
+
+    script = (
+        "import pickle, sys\n"
+        "from lila.datalog import parse_program\n"
+        "p = parse_program('e(\"a\",1). t(x):-e(x,y).')\n"
+        "if sys.argv[1] == 'dump':\n"
+        "    sys.stdout.buffer.write(pickle.dumps(p))\n"
+        "else:\n"
+        "    q = pickle.loads(sys.stdin.buffer.read())\n"
+        "    assert set(q.facts) & set(p.facts) and set(q.rules) & set(p.rules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+
+    def run(seed, mode, data=b""):
+        env["PYTHONHASHSEED"] = seed
+        return subprocess.run(
+            [sys.executable, "-c", script, mode], input=data, env=env,
+            capture_output=True, check=True, timeout=60,
+        ).stdout
+
+    run("2", "load", run("1", "dump"))
 
 
 def test_no_duplicates_by_set_semantics():
@@ -350,9 +445,19 @@ def test_concurrent_evaluations_are_independent():
     # must agree with their sequential results
     from concurrent.futures import ThreadPoolExecutor
 
+    # (the plan cache is shared: start it empty, switch threads often)
+    from lila.datalog.evaluate import _compile
+
     rng = random.Random(5150)
-    programs = [random_program(rng) for _ in range(24)]
-    expected = [evaluate(p) for p in programs]
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(evaluate, programs))
+    programs = [random_program(rng) for _ in range(24)] * 4
+    programs += [random_builtin_program(rng) for _ in range(24)] * 4
+    expected = [_outcome(evaluate, p) for p in programs]
+    _compile.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(lambda p: _outcome(evaluate, p), programs, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
     assert results == expected
