@@ -62,11 +62,6 @@ class Atom:
     def __hash__(self) -> int:
         return self._hash
 
-    def __reduce__(self):
-        # rebuild rather than copy the cached hash: string hashes differ
-        # between processes
-        return (Atom, (self.predicate, self.terms))
-
     @property
     def arity(self) -> int:
         return len(self.terms)
@@ -139,8 +134,18 @@ class Rule:
     def __hash__(self) -> int:
         return self._hash
 
-    def __reduce__(self):
-        return (Rule, (self.head, self.body))
+    def __eq__(self, other) -> bool:
+        # constants compare by value (2 == 2.0), rules by type as well: x/2
+        # truncates and x/2.0 does not. The evaluator's plan cache relies on it.
+        if self is other:
+            return True
+        if other.__class__ is not Rule:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and (self.head, self.body) == (other.head, other.body)
+            and str(self) == str(other)
+        )
 
     def __str__(self) -> str:
         return f"{self.head}:-{','.join(str(b) for b in self.body)}."

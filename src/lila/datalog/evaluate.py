@@ -408,8 +408,10 @@ def _compile_rule(rule: Rule, stratum: frozenset[str]) -> _Plan:
 def _compile(rules: tuple[Rule, ...]) -> tuple[_Stratum, ...]:
     """Strata in dependency order, each with the join plans of its rules.
 
-    Worker threads share the cache; plans are immutable, so two threads that
-    miss at once just compile the same plans twice.
+    Plans carry their rules' constants, so the cache relies on ``Rule``
+    equality telling ``2`` from ``2.0``. Worker threads share the cache;
+    plans are immutable, so two threads that miss at once just compile the
+    same plans twice.
     """
     graph = nx.DiGraph()
     for head, body in sorted(rule_dependency_graph(rules).items()):

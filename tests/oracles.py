@@ -3,21 +3,27 @@
 The brute-force Datalog oracle deliberately avoids the library's
 unification/evaluation machinery: it enumerates all ground instantiations over
 the program's constant domain and checks body membership directly. The naive
-evaluator covers built-ins, whose semantics it takes from the library.
+evaluator covers built-ins; it takes their semantics from the library but does
+its own joins and ``min``/``max``.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from lila.datalog.ast import Atom, DatalogProgram, Rule, Term, Variable
-from lila.datalog.evaluate import (
-    EvaluationError,
-    _eval_builtin,
-    _ground_head,
-    _match_atom,
-    _Store,
+from lila.datalog.ast import (
+    Aggregate,
+    Arith,
+    Atom,
+    BuiltIn,
+    DatalogProgram,
+    NumberConst,
+    Rule,
+    StringConst,
+    Term,
+    Variable,
 )
+from lila.datalog.evaluate import EvaluationError, _eval_builtin, _ground_head, _match_atom
 
 
 def _constants(program: DatalogProgram) -> list[Term]:
@@ -83,31 +89,69 @@ def nested_loop_select(r: list[tuple], position: int, predicate) -> set[tuple]:
     return {row for row in r if predicate(row[position])}
 
 
+def _resolve_aggregates(expr, subst, by_predicate):
+    """``expr`` with each min/max replaced by its value over ``by_predicate``.
+
+    None when a pattern matches no fact, which drops the row.
+    """
+    if isinstance(expr, Aggregate):
+        pattern = expr.pattern
+        free = [i for i, t in enumerate(pattern.terms) if isinstance(t, Variable) and t.name not in subst]
+        if len(free) != 1:
+            raise EvaluationError(f"{expr.func} pattern {pattern} needs exactly one free variable")
+        values = [
+            fact.terms[free[0]].value
+            for fact in by_predicate.get(pattern.predicate, ())
+            if _match_atom(pattern, fact, subst) is not None
+        ]
+        if not values:
+            return None
+        value = max(values) if expr.func == "max" else min(values)
+        return NumberConst(value) if isinstance(value, (int, float)) else StringConst(value)
+    if isinstance(expr, Arith):
+        left = _resolve_aggregates(expr.left, subst, by_predicate)
+        right = _resolve_aggregates(expr.right, subst, by_predicate)
+        return None if left is None or right is None else Arith(expr.op, left, right)
+    return expr
+
+
+def _naive_builtin(builtin: BuiltIn, subst, by_predicate, rule: Rule):
+    left = _resolve_aggregates(builtin.left, subst, by_predicate)
+    right = _resolve_aggregates(builtin.right, subst, by_predicate)
+    if left is None or right is None:
+        return None
+    return _eval_builtin(BuiltIn(builtin.op, left, right), subst, None, rule)
+
+
 def naive_evaluate(program: DatalogProgram, max_iterations: int = 10_000) -> frozenset[Atom]:
     """Naive fixpoint: every round fires every rule over all facts by nested loops.
 
-    This was the library's evaluator before stratified semi-naive evaluation;
-    it shares only the built-in semantics. ``min``/``max`` here read the
-    relation of the round, so results agree with ``evaluate`` only while
-    aggregates read predicates that no rule derives.
+    This was the library's evaluator before stratified semi-naive evaluation.
+    It takes only the semantics of comparisons, assignments and string
+    built-ins from the library; joins and ``min``/``max`` are scans here.
+    ``min``/``max`` read the relation of the round, so results agree with
+    ``evaluate`` only while aggregates read predicates that no rule derives.
     """
     facts = set(program.facts)
     for _ in range(max_iterations):
-        store = _Store(facts)
+        by_predicate: dict[str, list[Atom]] = {}
+        for fact in facts:
+            by_predicate.setdefault(fact.predicate, []).append(fact)
         new_facts: set[Atom] = set()
         for rule in program.rules:
             substs: list[dict] = [{}]
             for elem in rule.body:
                 if isinstance(elem, Atom):
-                    candidates = store.rows.get((elem.predicate, elem.arity), ())
                     substs = [
                         m
                         for s in substs
-                        for fact in candidates
+                        for fact in by_predicate.get(elem.predicate, ())
                         if (m := _match_atom(elem, fact, s)) is not None
                     ]
                 else:
-                    substs = [m for s in substs if (m := _eval_builtin(elem, s, store, rule)) is not None]
+                    substs = [
+                        m for s in substs if (m := _naive_builtin(elem, s, by_predicate, rule)) is not None
+                    ]
             new_facts |= {_ground_head(rule.head, s, rule) for s in substs}
         if new_facts <= facts:
             return frozenset(facts)
