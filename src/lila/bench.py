@@ -133,10 +133,7 @@ def baseline_content_filter(messages: list[Message]) -> list[frozenset[Atom]]:
 
 
 def _ilp_outputs(rg, messages: list[Message]) -> list[frozenset[Atom]]:
-    engine = Engine(
-        rg,
-        RunOptions(parallel=False, capture_only=True, inject=tuple(messages)),
-    )
+    engine = Engine(rg, RunOptions(capture_only=True, inject=tuple(messages)))
     engine.run_batch()
     outputs = []
     for bucket in engine.sink_facts.values():

@@ -148,9 +148,7 @@ def cmd_run(args, stdout, stderr) -> int:
     options = RunOptions(
         base_dir=base_dir,
         mode="watch" if args.watch else "batch",
-        parallel=not args.no_parallel,
         split_elements=args.split_elements,
-        strict=args.strict,
         watch_duration_ms=args.watch_duration_ms,
     )
     try:
@@ -160,7 +158,7 @@ def cmd_run(args, stdout, stderr) -> int:
         print(f"error: {exc}", file=stderr)
         return EXIT_FAIL
     stdout.write(report.to_json() + "\n")
-    if args.strict and report.errored:
+    if args.strict and (report.errored or not report.conserved()):
         return EXIT_FAIL
     return EXIT_OK
 
@@ -226,12 +224,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--watch-duration-ms", type=int, default=None, help="stop watch mode after N ms"
     )
-    p_run.add_argument("--strict", action="store_true", help="exit 1 if any exchange errored")
+    p_run.add_argument(
+        "--strict", action="store_true",
+        help="exit 1 if any exchange errored or the run did not conserve messages",
+    )
     p_run.add_argument(
         "--split-elements", action="store_true",
         help="treat each JSON array element as its own message",
     )
-    p_run.add_argument("--no-parallel", action="store_true", help="single-threaded execution")
     p_run.set_defaults(handler=cmd_run)
 
     p_bench = sub.add_parser("bench", help="run the scaling benchmarks")

@@ -16,9 +16,7 @@ import networkx as nx
 from .diagnostics import Diagnostic
 from .datalog.ast import Atom, Rule
 from .parser import Annotation, LilaProgram, parse_completion, resolved_exposed
-
-AGGREGATE_SUFFIX = "-aggregate"
-SPLIT_SUFFIX = "-split"
+from .patterns import AGGREGATE_SUFFIX, SPLIT_SUFFIX, AggregatorConfig
 
 # predicates readable without a producer (mirrored from the message header)
 AMBIENT_PREDICATES = frozenset({"meta"})
@@ -376,8 +374,6 @@ def prune_unused(ldg: Ldg) -> Ldg:
 
 def aggregator_config(node: LdgNode):
     """AggregatorConfig for an aggregator node (annotation params + queries)."""
-    from .patterns import AggregatorConfig
-
     completion = parse_completion(node.annotation.params[1])
     if completion is None:
         raise LdgError(f"invalid completion condition in {node.id}")

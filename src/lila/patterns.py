@@ -1,9 +1,14 @@
 """Integration patterns whose content functions are evaluated as Datalog (ILP).
 
-Each operation takes CDM messages and pattern configuration (conditions,
-queries, strategies) and delegates the content decision to Datalog
-evaluation; the runtime module wires these into routes. All operations are
-pure except for nothing here: aggregator state lives in the runtime.
+Each operation takes CDM messages and pattern configuration (queries,
+mappings, strategies) and delegates the content decision to Datalog
+evaluation. These are the functions the runtime's route-graph nodes call,
+one per semantic: ``mt_ilp`` (content filter, translator), ``sc_ilp``
+(splitter), ``crc_ilp``/``cpc_ilp``/``as_ilp`` (aggregator correlation,
+completion and strategy), ``merge_messages`` (join aggregator, enricher
+reply) and ``ep_ilp`` (enricher). Every operation is pure; aggregator
+collections live in the runtime. The drop-empty message filter is a
+predicate check in the runtime's ``messageFilter`` node.
 """
 
 from __future__ import annotations
@@ -13,12 +18,13 @@ from dataclasses import dataclass
 
 from .cdm import Message, MessageHeader, MetaFact, merge_meta
 from .datalog.ast import (
+    Aggregate,
+    Arith,
     Atom,
+    BuiltIn,
     DatalogProgram,
     Rule,
-    StringConst,
     Variable,
-    atom_sort_key,
 )
 from .datalog.evaluate import evaluate, query
 
@@ -32,36 +38,12 @@ class PatternConfigError(Exception):
     pass
 
 
-class ExclusivityViolation(Exception):
-    """The router contract requires exactly one channel condition to hold."""
-
-
 class AggregationError(Exception):
     pass
 
 
 class EnrichmentError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class Condition:
-    """Supporting rules plus the goal query evaluated over a message body."""
-
-    rules: tuple[Rule, ...]
-    goal: Atom
-
-
-@dataclass(frozen=True)
-class RoutingCondition:
-    per_channel: tuple[tuple[str, Condition], ...]
-
-    def __post_init__(self):
-        if not self.per_channel:
-            raise PatternConfigError("routing condition needs at least one channel")
-        ids = [channel for channel, _ in self.per_channel]
-        if len(ids) != len(set(ids)):
-            raise PatternConfigError("channel ids must be unique")
 
 
 @dataclass(frozen=True)
@@ -124,66 +106,7 @@ def _eval_program(message: Message, rules: tuple[Rule, ...], goals: tuple[Atom, 
     return DatalogProgram(frozenset(facts), message.body.rules + rules)
 
 
-def ilp_rc(message: Message, conds: RoutingCondition) -> list[tuple[str, frozenset[Atom]]]:
-    """Evaluate every channel condition over the message body.
-
-    Returns the per-channel goal results; routing itself is decided by the
-    caller (see content_based_route / help_rc).
-    """
-    results = []
-    for channel_id, cond in conds.per_channel:
-        try:
-            program = _eval_program(message, cond.rules, (cond.goal,))
-            results.append((channel_id, query(program, cond.goal)))
-        except Exception as exc:
-            raise type(exc)(f"channel {channel_id!r}: {exc}") from exc
-    return results
-
-
-def help_rc(per_channel_facts: list[tuple[str, frozenset[Atom]]]) -> list[tuple[str, bool]]:
-    """True exactly for the channels whose evaluation produced facts."""
-    return [(channel_id, len(facts) > 0) for channel_id, facts in per_channel_facts]
-
-
-def content_based_route(message: Message, conds: RoutingCondition) -> str:
-    """Return the unique matching channel; anything else violates the contract."""
-    flags = help_rc(ilp_rc(message, conds))
-    matching = [channel_id for channel_id, ok in flags if ok]
-    if len(matching) != 1:
-        raise ExclusivityViolation(
-            f"exactly one channel must match, got {matching or 'none'}"
-        )
-    return matching[0]
-
-
-def message_filter(message: Message, cond: Condition) -> Message | None:
-    """Pass the message unchanged when the goal evaluates non-empty, else drop."""
-    program = _eval_program(message, cond.rules, (cond.goal,))
-    return message if query(program, cond.goal) else None
-
-
-def rd_ilp(message: Message, rule: Rule) -> list[str]:
-    """Recipient list: project receiver keys from the body via a unary rule.
-
-    The runtime resolves the returned keys to channel configurations and
-    copies the message per resolved receiver.
-    """
-    if rule.head.arity != 1:
-        raise PatternConfigError(
-            f"receiver determination rule must have a unary head, got {rule.head}"
-        )
-    program = _eval_program(message, (rule,), ())
-    results = query(program, Atom(rule.head.predicate, (Variable("x"),)))
-    keys = []
-    for atom in sorted(results, key=atom_sort_key):
-        term = atom.terms[0]
-        keys.append(term.value if isinstance(term, StringConst) else str(term))
-    return keys
-
-
 def _rename_expr(expr, suffix: str):
-    from .datalog.ast import Aggregate, Arith, BuiltIn
-
     if isinstance(expr, Aggregate):
         pattern = Atom(expr.pattern.predicate + suffix, expr.pattern.terms)
         return Aggregate(expr.func, pattern)
@@ -198,8 +121,6 @@ def rename_predicates(message: Message, suffix: str) -> Message:
     Supporting rules are rewritten through: heads, body atoms and predicate
     references inside min/max built-ins all move to the suffixed names.
     """
-    from .datalog.ast import BuiltIn
-
     facts = frozenset(Atom(a.predicate + suffix, a.terms) for a in message.body.facts)
 
     def rename_element(elem):

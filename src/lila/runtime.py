@@ -1,20 +1,21 @@
 """Execution engine for route graphs.
 
 Endpoints consume and produce payloads, direct channels carry exchanges
-between routes, ILP pattern nodes process message content. Each route is a
-sequential pipeline; with parallelism enabled, independent route work runs
-on a small thread pool (aggregator state is the only guarded mutable state,
-serialized per correlation key).
+between routes, and ILP pattern nodes process message content by calling
+the functions of ``lila.patterns``. The engine is one sequential worklist:
+an exchange runs through its route to the end before the next one starts,
+so the order of sink payloads is deterministic. The paper's parallelism
+comes from partitioning the data, not from threads inside one engine.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,13 +29,14 @@ from .datalog.ast import DatalogProgram
 from .patterns import (
     AggregatorConfig,
     EnrichData,
+    SplitConfig,
+    as_ilp,
+    cpc_ilp,
     crc_ilp,
     ep_ilp,
     merge_messages,
     mt_ilp,
-    rename_predicates,
-    split_messages,
-    SplitConfig,
+    sc_ilp,
 )
 from .synthesis import RgNode, RouteGraph
 
@@ -79,7 +81,7 @@ class Exchange:
     hops: list[tuple[str, int]] = field(default_factory=list)
 
     def hop(self, node_id: str) -> None:
-        self.hops.append((node_id, time.monotonic_ns() // 1_000_000))
+        self.hops.append((node_id, _now_ms()))
 
     def fork(self, message: Message | None = None) -> "Exchange":
         return Exchange(
@@ -90,19 +92,20 @@ class Exchange:
         )
 
 
+def _now_ms() -> int:
+    return time.monotonic_ns() // 1_000_000
+
+
 @dataclass
 class RunOptions:
     base_dir: Path | None = None
     mode: str = "batch"  # batch | watch
-    parallel: bool = True
     split_elements: bool = False  # one payload per JSON array element
     capture_only: bool = False  # all sinks behave like mock sinks
     inject: tuple[Message, ...] = ()  # pre-built CDM messages, skip endpoints
-    strict: bool = False
     watch_poll_ms: int = 500
     sweep_interval_ms: int = 100
     watch_duration_ms: int | None = None
-    max_workers: int = 4
 
 
 @dataclass
@@ -144,40 +147,41 @@ class DirectChannels:
 
     def __init__(self, names):
         self._queues: dict[str, deque] = {name: deque() for name in names}
-        self._lock = threading.Lock()
 
     def declared(self, name: str) -> bool:
         return name in self._queues
 
+    def _queue(self, name: str) -> deque:
+        if name not in self._queues:
+            raise WiringError(f"direct channel {name!r} is not declared")
+        return self._queues[name]
+
     def send(self, name: str, exchange: Exchange) -> None:
-        with self._lock:
-            if name not in self._queues:
-                raise WiringError(f"direct channel {name!r} is not declared")
-            self._queues[name].append(exchange)
+        self._queue(name).append(exchange)
 
     def receive(self, name: str) -> Exchange | None:
-        with self._lock:
-            if name not in self._queues:
-                raise WiringError(f"direct channel {name!r} is not declared")
-            queue = self._queues[name]
-            return queue.popleft() if queue else None
-
-    def pending(self) -> list[tuple[str, Exchange]]:
-        with self._lock:
-            out = []
-            for name, queue in self._queues.items():
-                while queue:
-                    out.append((name, queue.popleft()))
-            return out
+        queue = self._queue(name)
+        return queue.popleft() if queue else None
 
 
-class _AggregatorState:
-    """Collections per correlation key with first-arrival timestamps."""
+class _Aggregation:
+    """An aggregator node, its configuration and its open collections.
 
-    def __init__(self):
-        self.collections: dict[tuple, list[Exchange]] = {}
-        self.first_ms: dict[tuple, int] = {}
-        self.lock = threading.Lock()
+    ``open`` maps a correlation key to the collection's first exchange (whose
+    trace the aggregate continues), its arrival time and the messages so far.
+    """
+
+    def __init__(self, node: RgNode, position: int):
+        cfg = node.config
+        self.node = node
+        self.position = position  # index of the node in its route
+        self.config = AggregatorConfig(
+            strategy=cfg.strategy or "union",
+            completion_size=cfg.completion_size,
+            completion_time_ms=cfg.completion_time_ms,
+            correlation_queries=cfg.queries,
+        )
+        self.open: dict[tuple, tuple[Exchange, int, list[Message]]] = {}
 
 
 class _NodeFailure(Exception):
@@ -197,19 +201,24 @@ class Engine:
         self.rg = rg
         self.options = options or RunOptions()
         self.routes = {r.id: r for r in rg.routes}
-        self.channels = DirectChannels(rg.channels().keys())
         self._channel_route = rg.channels()
+        self.channels = DirectChannels(self._channel_route)
         self.mock_sinks: dict[str, list[bytes]] = {}
         self.sink_facts: dict[str, list[frozenset]] = {}
-        self._agg: dict[str, _AggregatorState] = {
-            n.id: _AggregatorState()
-            for n in rg.nodes
-            if n.kind in ("aggregator", "joinAggregator")
+        self._agg: dict[str, _Aggregation] = {
+            node.id: _Aggregation(node, position)
+            for route in rg.routes
+            for position, node in enumerate(route.nodes)
+            if node.kind in ("aggregator", "joinAggregator")
         }
         self.report = RunReport(warnings=[str(w) for w in rg.warnings])
-        self._counters_lock = threading.Lock()
+        # (route id, exchange, index of the first node to run)
+        self._work: deque[tuple[str, Exchange, int]] = deque()
+        # per source route: its files and their mtimes as of the last poll
+        self._watched: dict[str, dict[Path, int]] = {}
         self._trace_seq = 0
         self._sink_seq: dict[str, int] = {}
+        self._sink_targets: dict[str, Path] = {}
         self._wired()
 
     # -- wiring ---------------------------------------------------------------
@@ -247,20 +256,25 @@ class Engine:
     # -- counters ----------------------------------------------------------------
 
     def _count_node(self, node_id: str, key: str, amount: int = 1) -> None:
-        with self._counters_lock:
-            counters = self.report.per_node.setdefault(
-                node_id, {"consumed": 0, "produced": 0, "dropped": 0, "errored": 0}
-            )
-            counters[key] += amount
+        counters = self.report.per_node.setdefault(
+            node_id, {"consumed": 0, "produced": 0, "dropped": 0, "errored": 0}
+        )
+        counters[key] += amount
 
     def _count(self, key: str, amount: int = 1) -> None:
-        with self._counters_lock:
-            setattr(self.report, key, getattr(self.report, key) + amount)
+        setattr(self.report, key, getattr(self.report, key) + amount)
+
+    def _drop(self, node_id: str, amount: int = 1) -> None:
+        self._count("dropped", amount)
+        self._count_node(node_id, "dropped", amount)
 
     def _next_trace(self) -> str:
-        with self._counters_lock:
-            self._trace_seq += 1
-            return f"t{self._trace_seq:06d}"
+        self._trace_seq += 1
+        return f"t{self._trace_seq:06d}"
+
+    def _warn_once(self, text: str) -> None:
+        if text not in self.report.warnings:
+            self.report.warnings.append(text)
 
     # -- filesystem ---------------------------------------------------------------
 
@@ -274,23 +288,28 @@ class Engine:
     def _dead_letter(self, exchange: Exchange, node_id: str, error: Exception) -> None:
         self._count("errored")
         self._count_node(node_id, "errored")
-        logger.warning("exchange %s failed at %s: %s", exchange.trace_id, node_id, error)
-        if self.options.base_dir is None or self.options.capture_only:
-            return
-        try:
-            dead_dir = self._resolve(".deadletter")
-            dead_dir.mkdir(parents=True, exist_ok=True)
+        failure = f"{type(error).__name__}: {error}"
+        logger.warning("exchange %s failed at %s: %s", exchange.trace_id, node_id, failure)
+        if self.options.base_dir is not None and not self.options.capture_only:
             doc = {
                 "traceId": exchange.trace_id,
                 "node": node_id,
-                "error": f"{type(error).__name__}: {error}",
+                "error": failure,
                 "body": str(exchange.message.body),
                 "raw": exchange.raw.decode("utf-8", "replace") if exchange.raw else None,
                 "hops": exchange.hops,
             }
-            (dead_dir / f"{exchange.trace_id}.json").write_text(json.dumps(doc, indent=2))
-        except OSError as exc:  # never let dead-letter IO kill the engine
-            logger.error("dead-letter write failed: %s", exc)
+            try:
+                dead_dir = self._resolve(".deadletter")
+                dead_dir.mkdir(parents=True, exist_ok=True)
+                (dead_dir / f"{exchange.trace_id}.json").write_text(json.dumps(doc, indent=2))
+                return
+            except OSError as exc:  # never let dead-letter IO kill the engine
+                logger.error("dead-letter write failed: %s", exc)
+        self.report.warnings.append(
+            f"exchange {exchange.trace_id} failed at {node_id} "
+            f"(no dead-letter file): {failure}"
+        )
 
     # -- node handlers ----------------------------------------------------------------
 
@@ -300,6 +319,12 @@ class Engine:
         return handler(node, exchange)
 
     def _node_fromDirect(self, node: RgNode, exchange: Exchange) -> list[Exchange]:
+        return [exchange]
+
+    def _node_fromEndpoint(self, node: RgNode, exchange: Exchange) -> list[Exchange]:
+        # datalog sources have no format converter: their entry parses the payload
+        if node.config.format == "datalog":
+            return self._convert_in(exchange, "datalog", node.config.relations)
         return [exchange]
 
     def _node_toDirect(self, node: RgNode, exchange: Exchange) -> list[Exchange]:
@@ -314,15 +339,17 @@ class Engine:
             self._schedule_channel(target)
         return []
 
+    def _convert_in(self, exchange: Exchange, fmt: str, relations) -> list[Exchange]:
+        if exchange.raw is None:
+            raise EndpointError("no payload to convert")
+        converted = exchange.fork(to_cdm(exchange.raw, FormatSpec(fmt, relations)))
+        converted.raw = None
+        return [converted]
+
     def _node_formatConverter(self, node: RgNode, exchange: Exchange) -> list[Exchange]:
         cfg = node.config
         if cfg.direction == "in":
-            if exchange.raw is None:
-                raise EndpointError(f"{node.id}: no payload to convert")
-            message = to_cdm(exchange.raw, FormatSpec(cfg.format, cfg.relations))
-            converted = exchange.fork(message)
-            converted.raw = None
-            return [converted]
+            return self._convert_in(exchange, cfg.format, cfg.relations)
         payload = from_cdm(
             exchange.message, FormatSpec(cfg.format), list(cfg.exposed)
         )
@@ -336,23 +363,18 @@ class Engine:
 
     _node_translator = _node_contentFilter
 
-    def _node_renamingTranslator(self, node: RgNode, exchange: Exchange) -> list[Exchange]:
-        return [exchange.fork(rename_predicates(exchange.message, node.config.suffix))]
-
     def _node_messageFilter(self, node: RgNode, exchange: Exchange) -> list[Exchange]:
         # discard messages without facts of the exposed predicates
         exposed = set(node.config.exposed)
         if any(a.predicate in exposed for a in exchange.message.body.facts):
             return [exchange]
-        self._count("dropped")
-        self._count_node(node.id, "dropped")
+        self._drop(node.id)
         return []
 
     def _node_splitter(self, node: RgNode, exchange: Exchange) -> list[Exchange]:
-        parts = split_messages(exchange.message, SplitConfig(node.config.queries))
+        parts = sc_ilp(exchange.message, SplitConfig(node.config.queries))
         if not parts:
-            self._count("dropped")
-            self._count_node(node.id, "dropped")
+            self._drop(node.id)
             return []
         self._count("replicated", len(parts) - 1)
         return [exchange.fork(part) for part in parts]
@@ -375,44 +397,29 @@ class Engine:
         return [exchange.fork(enriched)]
 
     def _aggregate(self, node: RgNode, exchange: Exchange) -> list[Exchange]:
-        state = self._agg[node.id]
-        cfg = node.config
-        if cfg.correlation == "trace":
+        agg = self._agg[node.id]
+        if node.config.correlation == "trace":
             key = (exchange.trace_id,)
-        elif cfg.correlation == "arrival":
+        elif node.config.correlation == "arrival":
             key = ()  # single rolling collection: first k arrivals complete
         else:
-            agg_cfg = AggregatorConfig(
-                strategy=cfg.strategy or "union",
-                completion_size=cfg.completion_size,
-                completion_time_ms=cfg.completion_time_ms,
-                correlation_queries=cfg.queries,
-            )
-            key = crc_ilp(exchange.message, agg_cfg)
-        now_ms = time.monotonic_ns() // 1_000_000
-        with state.lock:
-            collection = state.collections.setdefault(key, [])
-            state.first_ms.setdefault(key, now_ms)
-            collection.append(exchange)
-            complete = False
-            if cfg.completion_size is not None:
-                complete = len(collection) >= cfg.completion_size
-            elif cfg.completion_time_ms is not None:
-                complete = now_ms - state.first_ms[key] >= cfg.completion_time_ms
-            if not complete:
-                return []
-            state.collections.pop(key)
-            state.first_ms.pop(key)
-        return [self._emit_aggregate(node, collection)]
+            key = crc_ilp(exchange.message, agg.config)
+        now_ms = _now_ms()
+        first, started_ms, messages = agg.open.setdefault(key, (exchange, now_ms, []))
+        messages.append(exchange.message)
+        if not cpc_ilp(messages, agg.config, now_ms - started_ms):
+            return []
+        del agg.open[key]
+        return [self._emit_aggregate(node, first, messages)]
 
     _node_aggregator = _aggregate
     _node_joinAggregator = _aggregate
 
-    def _emit_aggregate(self, node: RgNode, collection: list[Exchange]) -> Exchange:
-        self._count("merged", len(collection) - 1)
-        merged = merge_messages([e.message for e in collection])
-        out = collection[0].fork(merged)
-        return out
+    def _emit_aggregate(self, node: RgNode, first: Exchange, messages: list[Message]) -> Exchange:
+        # an aggregator's output predicates carry the -aggregate suffix; a join's do not
+        self._count("merged", len(messages) - 1)
+        combine = as_ilp if node.kind == "aggregator" else merge_messages
+        return first.fork(combine(messages))
 
     def _node_toEndpoint(self, node: RgNode, exchange: Exchange) -> list[Exchange]:
         cfg = node.config
@@ -422,24 +429,17 @@ class Engine:
         uri = EndpointUri.parse(cfg.uri)
         exposed = set(cfg.exposed)
         facts = frozenset(a for a in exchange.message.body.facts if a.predicate in exposed)
-        with self._counters_lock:
-            self.sink_facts.setdefault(cfg.uri, []).append(facts)
+        self.sink_facts.setdefault(cfg.uri, []).append(facts)
         if uri.scheme == "mock" or self.options.capture_only:
-            with self._counters_lock:
-                self.mock_sinks.setdefault(cfg.uri, []).append(payload)
+            self.mock_sinks.setdefault(cfg.uri, []).append(payload)
         elif uri.scheme == "file":
             self._write_sink_file(uri.path, cfg.format, payload)
         else:
             raise EndpointError(f"cannot produce to {cfg.uri!r}")
         self._count("produced")
         self._count_node(node.id, "produced")
-        with self._counters_lock:
-            self.report.per_sink[cfg.uri] = self.report.per_sink.get(cfg.uri, 0) + 1
+        self.report.per_sink[cfg.uri] = self.report.per_sink.get(cfg.uri, 0) + 1
         return []
-
-    def _node_fromEndpoint(self, node: RgNode, exchange: Exchange) -> list[Exchange]:
-        # entry node: payload ingestion happens in _seed_sources
-        return [exchange]
 
     # -- endpoint IO -------------------------------------------------------------------
 
@@ -454,37 +454,94 @@ class Engine:
     _EXTENSIONS = {"json": "json", "csv": "csv", "datalog": "dl"}
 
     def _write_sink_file(self, path: str, fmt: str, payload: bytes) -> None:
-        target = self._resolve(path)
-        with self._counters_lock:
-            seq = self._sink_seq.get(path, 0)
-            self._sink_seq[path] = seq + 1
+        # a sink path is resolved and its directory made once per run
+        target = self._sink_targets.get(path)
+        if target is None:
+            target = self._resolve(path)
+            (target.parent if target.suffix else target).mkdir(parents=True, exist_ok=True)
+            self._sink_targets[path] = target
+        seq = self._sink_seq.get(path, 0)
+        self._sink_seq[path] = seq + 1
         if target.suffix:
             if seq:
                 target = target.with_name(f"{target.stem}-{seq + 1}{target.suffix}")
-            target.parent.mkdir(parents=True, exist_ok=True)
             target.write_bytes(payload)
         else:
-            target.mkdir(parents=True, exist_ok=True)
             ext = self._EXTENSIONS.get(fmt, "dat")
             (target / f"{seq:05d}.{ext}").write_bytes(payload)
 
-    def _source_payloads(self, node: RgNode) -> list[bytes]:
+    def _source_files(self, node: RgNode) -> list[Path]:
+        """The files behind a source endpoint: one file, or a directory's files."""
         uri = EndpointUri.parse(node.config.uri)
         if uri.scheme != "file":
             raise EndpointError(f"cannot consume from {node.config.uri!r}")
         target = self._resolve(uri.path)
         if not target.exists():
-            self.report.warnings.append(f"source path {uri.path!r} does not exist")
-            return []
-        files = sorted(target.iterdir()) if target.is_dir() else [target]
-        payloads = [f.read_bytes() for f in files if f.is_file()]
-        if self.options.split_elements and node.config.format == "json":
-            split = []
-            for payload in payloads:
-                records = json.loads(payload.decode("utf-8"))
-                split += [json.dumps([r]).encode("utf-8") for r in records]
-            return split
-        return payloads
+            raise EndpointError(f"source path {uri.path!r} does not exist")
+        if target.is_dir():
+            with os.scandir(target) as entries:
+                return [Path(p) for p in sorted(e.path for e in entries if e.is_file())]
+        return [target]
+
+    def _split(self, node: RgNode, payload: bytes) -> list[bytes]:
+        """With ``split_elements``, one payload per element of a JSON array.
+
+        A payload that is not a JSON array stays whole, so that its format
+        converter dead-letters it."""
+        if not (self.options.split_elements and node.config.format == "json"):
+            return [payload]
+        try:
+            records = json.loads(payload.decode("utf-8"))
+        except ValueError:
+            return [payload]
+        if not isinstance(records, list):
+            return [payload]
+        return [json.dumps([r]).encode("utf-8") for r in records]
+
+    def _poll_sources(self) -> None:
+        """Queue one exchange per payload of every source file that is new or
+        rewritten since the last poll; a batch run polls once.
+
+        The files of a source and their mtimes replace its entry in
+        ``_watched`` on every poll, so deleted files leave no state behind."""
+        for route in self.rg.routes:
+            source = route.entry
+            if source.kind != "fromEndpoint":
+                continue
+            try:
+                files = self._source_files(source)
+            except (EndpointError, OSError) as exc:
+                self._warn_once(f"{source.id}: {exc}")
+                continue
+            seen = self._watched.get(route.id, {})
+            current: dict[Path, int] = {}
+            for file in files:
+                try:
+                    mtime = file.stat().st_mtime_ns
+                    payload = file.read_bytes() if seen.get(file) != mtime else None
+                except OSError as exc:  # gone or unreadable: tried again next poll
+                    self._warn_once(f"{source.id}: {exc}")
+                    continue
+                current[file] = mtime
+                if payload is None:
+                    continue
+                for part in self._split(source, payload):
+                    self._count("consumed")
+                    self._work.append((route.id, Exchange(Message(), self._next_trace(), part), 0))
+            self._watched[route.id] = current
+
+    def _inject(self) -> None:
+        """Queue the injected CDM messages after the first source's converters."""
+        entry_routes = [r for r in self.rg.routes if r.entry.kind == "fromEndpoint"]
+        if not entry_routes:
+            raise WiringError("cannot inject messages: no source route")
+        route = entry_routes[0]
+        start = 1
+        while start < len(route.nodes) and route.nodes[start].kind == "formatConverter":
+            start += 1
+        for message in self.options.inject:
+            self._count("consumed")
+            self._work.append((route.id, Exchange(message, self._next_trace()), start))
 
     # -- execution ---------------------------------------------------------------------
 
@@ -510,15 +567,6 @@ class Engine:
             current = following
         return current
 
-    def _guarded_run_route(self, route_id: str, exchange: Exchange, start: int = 0) -> None:
-        try:
-            self._run_route(route_id, exchange, start)
-        except _NodeFailure as failure:  # poisoned exchanges never halt the engine
-            self._dead_letter(failure.exchange, failure.node_id, failure.cause)
-        except Exception as exc:
-            node_id = exchange.hops[-1][0] if exchange.hops else route_id
-            self._dead_letter(exchange, node_id, exc)
-
     def _call_channel(self, channel: str, exchange: Exchange) -> Exchange:
         """Request/reply against the route consuming ``channel``."""
         route_id = self._channel_route[channel]
@@ -530,7 +578,7 @@ class Engine:
         return results[0]
 
     def _schedule_channel(self, channel: str) -> None:
-        """Move pending channel exchanges into the work pool."""
+        """Move pending channel exchanges onto the worklist."""
         route_id = self._channel_route.get(channel)
         if route_id is None:
             raise WiringError(f"direct channel {channel!r} has no consuming route")
@@ -540,204 +588,81 @@ class Engine:
             exchange = self.channels.receive(channel)
             if exchange is None:
                 return
-            self._submit(route_id, exchange, 1)  # skip the fromDirect entry
+            self._work.append((route_id, exchange, 1))  # skip the fromDirect entry
 
-    def _submit(self, route_id: str, exchange: Exchange, start: int) -> None:
-        if self._executor is not None:
-            with self._pending_lock:
-                self._pending += 1
-            self._futures.append(
-                self._executor.submit(self._task, route_id, exchange, start)
-            )
-        else:
-            self._work.append((route_id, exchange, start))
+    def _flush_aggregations(self, force: bool) -> int:
+        """Emit the complete collections; with force, every time-based one.
 
-    def _task(self, route_id: str, exchange: Exchange, start: int) -> None:
-        try:
-            self._guarded_run_route(route_id, exchange, start)
-        finally:
-            with self._pending_lock:
-                self._pending -= 1
-
-    def _seed_sources(self) -> list[tuple[str, Exchange, int]]:
-        seeds = []
-        entry_routes = [
-            r for r in self.rg.routes if r.entry.kind == "fromEndpoint"
-        ]
-        if self.options.inject:
-            if not entry_routes:
-                raise WiringError("cannot inject messages: no source route")
-            route = entry_routes[0]
-            start = 1
-            while start < len(route.nodes) and route.nodes[start].kind == "formatConverter":
-                start += 1
-            for message in self.options.inject:
-                self._count("consumed")
-                seeds.append((route.id, Exchange(message, self._next_trace()), start))
-            return seeds
-        for route in entry_routes:
-            source = route.entry
-            try:
-                payloads = self._source_payloads(source)
-            except (EndpointError, OSError) as exc:
-                self.report.warnings.append(f"{source.id}: {exc}")
-                continue
-            for payload in payloads:
-                self._count("consumed")
-                self._count_node(source.id, "consumed")
-                self._count_node(source.id, "produced")
-                exchange = Exchange(Message(), self._next_trace(), raw=payload)
-                if source.config.format == "datalog":
-                    message = to_cdm(payload, FormatSpec("datalog", source.config.relations))
-                    exchange = Exchange(message, exchange.trace_id)
-                seeds.append((route.id, exchange, 1))
-        return seeds
-
-    def _flush_time_aggregations(self, force: bool) -> int:
-        """Emit due time-based collections; with force, drain them all.
-
-        Size-based collections that can no longer complete are dropped."""
+        With force, size-based collections that can no longer complete are
+        dropped. Returns the number of aggregates emitted."""
         emitted = 0
-        now_ms = time.monotonic_ns() // 1_000_000
-        for node in self.rg.nodes:
-            if node.kind not in ("aggregator", "joinAggregator"):
-                continue
-            state = self._agg[node.id]
-            route_id = node.route_id
-            route = self.routes[route_id]
-            position = next(i for i, n in enumerate(route.nodes) if n.id == node.id)
-            with state.lock:
-                due = []
-                for key, collection in list(state.collections.items()):
-                    time_based = node.config.completion_time_ms is not None
-                    expired = time_based and (
-                        force
-                        or now_ms - state.first_ms[key] >= node.config.completion_time_ms
+        now_ms = _now_ms()
+        for agg in self._agg.values():
+            node = agg.node
+            time_based = agg.config.completion_time_ms is not None
+            for key, (first, started_ms, messages) in list(agg.open.items()):
+                if cpc_ilp(messages, agg.config, now_ms - started_ms) or (force and time_based):
+                    del agg.open[key]
+                    merged = self._emit_aggregate(node, first, messages)
+                    self._work.append((node.route_id, merged, agg.position + 1))
+                    emitted += 1
+                elif force:
+                    del agg.open[key]
+                    self._drop(node.id, len(messages))
+                    self.report.warnings.append(
+                        f"{node.id}: dropped {len(messages)} message(s) from an "
+                        f"incomplete collection (key {key!r})"
                     )
-                    if expired:
-                        due.append(collection)
-                        state.collections.pop(key)
-                        state.first_ms.pop(key)
-                    elif force and not time_based:
-                        dropped = state.collections.pop(key)
-                        state.first_ms.pop(key)
-                        self._count("dropped", len(dropped))
-                        self._count_node(node.id, "dropped", len(dropped))
-                        self.report.warnings.append(
-                            f"{node.id}: dropped {len(dropped)} message(s) from an "
-                            f"incomplete collection (key {key!r})"
-                        )
-            for collection in due:
-                merged = self._emit_aggregate(node, collection)
-                self._submit(node.route_id, merged, position + 1)
-                emitted += 1
         return emitted
 
     def _drain(self) -> None:
-        if self._executor is not None:
-            while True:
-                wait(list(self._futures))
-                with self._pending_lock:
-                    if self._pending == 0 and all(f.done() for f in list(self._futures)):
-                        break
-            self._futures = [f for f in self._futures if not f.done()]
-        else:
-            while self._work:
-                route_id, exchange, start = self._work.popleft()
-                self._guarded_run_route(route_id, exchange, start)
+        while self._work:
+            route_id, exchange, start = self._work.popleft()
+            try:
+                self._run_route(route_id, exchange, start)
+            except _NodeFailure as failure:  # poisoned exchanges never halt the engine
+                self._dead_letter(failure.exchange, failure.node_id, failure.cause)
+
+    def _finish(self, started: float) -> RunReport:
+        # end of stream: time-based collections complete, stale size-based drop
+        while self._flush_aggregations(force=True):
+            self._drain()
+        report = self.report
+        report.wall_ms = int((time.monotonic() - started) * 1000)
+        if not report.conserved():
+            report.warnings.append(
+                f"messages not conserved: consumed {report.consumed} + replicated "
+                f"{report.replicated} != produced {report.produced} + dropped "
+                f"{report.dropped} + errored {report.errored} + merged {report.merged}"
+            )
+        return report
 
     def run_batch(self) -> RunReport:
         started = time.monotonic()
-        self._work: deque = deque()
-        self._futures: list = []
-        self._pending = 0
-        self._pending_lock = threading.Lock()
-        self._executor = (
-            ThreadPoolExecutor(max_workers=self.options.max_workers)
-            if self.options.parallel
-            else None
-        )
-        try:
-            for route_id, exchange, start in self._seed_sources():
-                self._submit(route_id, exchange, start)
-            self._drain()
-            # end of stream: time-based collections complete, stale size-based drop
-            while self._flush_time_aggregations(force=True):
-                self._drain()
-        finally:
-            if self._executor is not None:
-                self._executor.shutdown(wait=True)
-                self._executor = None
-        self.report.wall_ms = int((time.monotonic() - started) * 1000)
-        return self.report
+        if self.options.inject:
+            self._inject()
+        else:
+            self._poll_sources()
+        self._drain()
+        return self._finish(started)
 
     def run_watch(self, stop: threading.Event | None = None) -> RunReport:
-        """Poll sources for new files until stopped; sweeps time aggregations."""
+        """Poll sources for new or rewritten files until stopped or the watch
+        duration ends; sweeps time-based aggregations between polls."""
         started = time.monotonic()
-        self._work = deque()
-        self._futures = []
-        self._pending = 0
-        self._pending_lock = threading.Lock()
-        self._executor = (
-            ThreadPoolExecutor(max_workers=self.options.max_workers)
-            if self.options.parallel
-            else None
-        )
-        seen: set[tuple[str, str, float]] = set()
         stop = stop or threading.Event()
-        deadline = (
-            time.monotonic() + self.options.watch_duration_ms / 1000
-            if self.options.watch_duration_ms
-            else None
-        )
-        last_sweep = time.monotonic()
-        try:
-            while not stop.is_set():
-                if deadline and time.monotonic() >= deadline:
-                    break
-                for route in self.rg.routes:
-                    if route.entry.kind != "fromEndpoint":
-                        continue
-                    source = route.entry
-                    uri = EndpointUri.parse(source.config.uri)
-                    if uri.scheme != "file":
-                        continue
-                    target = self._resolve(uri.path)
-                    if not target.exists():
-                        continue
-                    files = sorted(target.iterdir()) if target.is_dir() else [target]
-                    for file in files:
-                        if not file.is_file():
-                            continue
-                        key = (route.id, str(file), file.stat().st_mtime)
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        payload = file.read_bytes()
-                        self._count("consumed")
-                        self._count_node(source.id, "consumed")
-                        self._count_node(source.id, "produced")
-                        exchange = Exchange(Message(), self._next_trace(), raw=payload)
-                        if source.config.format == "datalog":
-                            message = to_cdm(
-                                payload, FormatSpec("datalog", source.config.relations)
-                            )
-                            exchange = Exchange(message, exchange.trace_id)
-                        self._submit(route.id, exchange, 1)
+        duration_ms = self.options.watch_duration_ms
+        deadline = started + duration_ms / 1000 if duration_ms else None
+        last_sweep = started
+        while not stop.is_set() and not (deadline and time.monotonic() >= deadline):
+            self._poll_sources()
+            self._drain()
+            if (time.monotonic() - last_sweep) * 1000 >= self.options.sweep_interval_ms:
+                self._flush_aggregations(force=False)
                 self._drain()
-                if (time.monotonic() - last_sweep) * 1000 >= self.options.sweep_interval_ms:
-                    self._flush_time_aggregations(force=False)
-                    self._drain()
-                    last_sweep = time.monotonic()
-                stop.wait(self.options.watch_poll_ms / 1000)
-            while self._flush_time_aggregations(force=True):
-                self._drain()
-        finally:
-            if self._executor is not None:
-                self._executor.shutdown(wait=True)
-                self._executor = None
-        self.report.wall_ms = int((time.monotonic() - started) * 1000)
-        return self.report
+                last_sweep = time.monotonic()
+            stop.wait(self.options.watch_poll_ms / 1000)
+        return self._finish(started)
 
 
 def run(rg: RouteGraph, options: RunOptions | None = None) -> RunReport:

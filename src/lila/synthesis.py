@@ -28,7 +28,6 @@ from .cdm import RelationDecl
 from .datalog.ast import Atom, Rule
 from .diagnostics import Diagnostic
 from .ldg import Ldg, LdgNode, aggregator_config
-from .patterns import AGGREGATE_SUFFIX, SPLIT_SUFFIX
 
 ENTRY_KINDS = ("fromEndpoint", "fromDirect")
 
@@ -54,7 +53,6 @@ class PatternConfig:
     completion_time_ms: int | None = None
     correlation: str = ""  # joinAggregator: "trace"; aggregator: "queries"
     queries: tuple[Atom, ...] = ()
-    suffix: str = ""
     facts: tuple[Atom, ...] = ()
     num_msgs_to_agg: int | None = None
 
@@ -89,8 +87,6 @@ class RgNode:
             return f"aggregate({cfg.strategy},{completion})"
         if self.kind == "splitter":
             return f"split({','.join(q.predicate for q in cfg.queries)})"
-        if self.kind == "renamingTranslator":
-            return f"rename({cfg.suffix})"
         if self.kind == "contentFilter":
             return f"filter[{','.join(cfg.exposed)}]"
         if self.kind == "translator":
@@ -357,12 +353,10 @@ class _Builder:
                     ),
                     origin=node.id,
                 ),
-                _Proto("renamingTranslator", PatternConfig(suffix=AGGREGATE_SUFFIX)),
             ]
         if node.kind == "splitter":
             return [
                 _Proto("splitter", PatternConfig(queries=node.annotation.queries), origin=node.id),
-                _Proto("renamingTranslator", PatternConfig(suffix=SPLIT_SUFFIX)),
             ]
         raise SynthesisError(f"no segment for node kind {node.kind}")
 
@@ -677,7 +671,6 @@ def _config_json(cfg: PatternConfig) -> dict:
         ("channel", cfg.channel),
         ("strategy", cfg.strategy),
         ("correlation", cfg.correlation),
-        ("suffix", cfg.suffix),
     ):
         if value:
             out[key] = value

@@ -47,7 +47,7 @@ def test_criterion_01_motivating_example_end_to_end(tmp_path, soccer_source):
     started = time.monotonic()
     write_soccer_fixtures(tmp_path)
     rg = compile_source(soccer_source, {"config": "playerFeed"})
-    engine = Engine(rg, RunOptions(base_dir=tmp_path, parallel=False))
+    engine = Engine(rg, RunOptions(base_dir=tmp_path))
     engine.run_batch()
 
     # hand-computed evaluation of the program's rules over the fixtures:
@@ -152,7 +152,7 @@ def test_criterion_05_filter_selectivity():
     messages = gen_single_fact_messages(10_000)
     rg = compile_source(read_corpus("message_filter.lila"))
     engine = Engine(
-        rg, RunOptions(parallel=False, capture_only=True, inject=tuple(messages))
+        rg, RunOptions(capture_only=True, inject=tuple(messages))
     )
     report = engine.run_batch()
     assert report.consumed == 10_000
@@ -167,7 +167,7 @@ def test_criterion_06_content_filter_equivalence():
     for f in (2, 100, 5000):
         message = gen_multi_fact_message(f)
         engine = Engine(
-            rg, RunOptions(parallel=False, capture_only=True, inject=(message,))
+            rg, RunOptions(capture_only=True, inject=(message,))
         )
         engine.run_batch()
         ilp_outputs = [facts for bucket in engine.sink_facts.values() for facts in bucket]
@@ -249,7 +249,7 @@ def test_criterion_09_splitter_aggregator_duality(tmp_path):
     # the synthesized gather route produces the same double-suffixed facts
     (tmp_path / "in.dl").write_text("a(1). b(2).")
     rg = compile_source(read_corpus("synthetic/gather.lila"))
-    engine = Engine(rg, RunOptions(base_dir=tmp_path, parallel=False, capture_only=True))
+    engine = Engine(rg, RunOptions(base_dir=tmp_path, capture_only=True))
     engine.run_batch()
     delivered = set()
     for bucket in engine.sink_facts.values():
@@ -272,7 +272,7 @@ def test_criterion_10_semantics_preservation(tmp_path):
             (base / name).write_text(content)
 
         rg = synthesize_routes(prune_unused(build_ldg(program)))
-        engine = Engine(rg, RunOptions(base_dir=base, parallel=False, capture_only=True))
+        engine = Engine(rg, RunOptions(base_dir=base, capture_only=True))
         engine.run_batch()
 
         # monolithic reference: all converted source facts plus every rule,

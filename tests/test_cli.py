@@ -120,7 +120,7 @@ def test_run_soccer_reports_counts(soccer_file, tmp_path):
         "run", str(soccer_file),
         "--bind", "config=playerFeed",
         "--base-dir", str(tmp_path),
-        "--split-elements", "--no-parallel",
+        "--split-elements",
     )
     assert status == 0, err
     report = json.loads(out)
@@ -134,7 +134,7 @@ def test_run_empty_inputs_zero_counters(soccer_file, tmp_path):
     status, out, _ = run_cli(
         "run", str(soccer_file),
         "--bind", "config=playerFeed",
-        "--base-dir", str(tmp_path), "--no-parallel",
+        "--base-dir", str(tmp_path),
     )
     assert status == 0
     report = json.loads(out)
@@ -150,7 +150,7 @@ def test_run_rejects_unbound_placeholder(soccer_file, tmp_path):
 def test_run_env_base_dir(soccer_file, tmp_path, monkeypatch):
     monkeypatch.setenv("LILA_BASE_DIR", str(tmp_path))
     status, out, _ = run_cli(
-        "run", str(soccer_file), "--bind", "config=playerFeed", "--no-parallel"
+        "run", str(soccer_file), "--bind", "config=playerFeed",
     )
     assert status == 0
     assert json.loads(out)["produced"] == 2
@@ -161,10 +161,23 @@ def test_run_watch_mode_terminates(soccer_file, tmp_path):
         "run", str(soccer_file),
         "--bind", "config=playerFeed",
         "--base-dir", str(tmp_path),
-        "--watch", "--watch-duration-ms", "300", "--no-parallel",
+        "--watch", "--watch-duration-ms", "300",
     )
     assert status == 0
     assert json.loads(out)["produced"] == 2
+
+
+def test_run_strict_fails_on_unconserved_report(soccer_file, tmp_path, monkeypatch):
+    import lila.cli
+    from lila.runtime import RunReport
+
+    monkeypatch.setattr(lila.cli, "run", lambda rg, options: RunReport(consumed=1))
+    argv = ("run", str(soccer_file), "--bind", "config=playerFeed", "--base-dir", str(tmp_path))
+    status, out, _ = run_cli(*argv)
+    assert status == 0
+    assert json.loads(out)["consumed"] == 1
+    status, _, _ = run_cli(*argv, "--strict")
+    assert status == 1
 
 
 # --- bench --------------------------------------------------------------------------

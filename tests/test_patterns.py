@@ -1,13 +1,12 @@
-"""ILP pattern operations: router, filter, splitter, aggregator, translator, enricher."""
+"""ILP pattern operations: filter, splitter, aggregator, translator, enricher."""
 
 from __future__ import annotations
-
-import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lila import compile_source
 from lila.cdm import MetaFact, RelationDecl, message
 from lila.datalog import (
     Atom,
@@ -20,25 +19,20 @@ from lila.datalog import (
 from lila.patterns import (
     AggregationError,
     AggregatorConfig,
-    Condition,
     EnrichData,
-    ExclusivityViolation,
     PatternConfigError,
-    RoutingCondition,
     SplitConfig,
     as_ilp,
-    content_based_route,
     cpc_ilp,
     crc_ilp,
     ep_ilp,
-    help_rc,
-    ilp_rc,
     merge_messages,
-    message_filter,
     mt_ilp,
-    rd_ilp,
     sc_ilp,
 )
+from lila.runtime import Engine, RunOptions
+
+from .conftest import read_corpus
 
 
 def fact(text: str) -> Atom:
@@ -53,136 +47,35 @@ def body_strs(m) -> set[str]:
     return {str(a) for a in m.body.facts}
 
 
-TRUE_FALSE = RoutingCondition(
-    (
-        ("A", Condition((), fact('match("true")'))),
-        ("B", Condition((), fact('match("false")'))),
-    )
-)
-
-
-# --- router -----------------------------------------------------------------
-
-
-def test_ilp_rc_per_channel_results():
-    results = dict(ilp_rc(msg('match("true")'), TRUE_FALSE))
-    assert {str(a) for a in results["A"]} == {'match("true")'}
-    assert results["B"] == frozenset()
-
-
-def test_ilp_rc_empty_body_all_channels_empty():
-    results = ilp_rc(msg(), TRUE_FALSE)
-    assert all(not facts for _, facts in results)
-
-
-def test_ilp_rc_with_channel_rule():
-    cond = RoutingCondition(
-        (
-            (
-                "goal-events",
-                Condition(
-                    (parse_rule('g(p,t,i):-gE(p,t,"Goal",i).'),),
-                    fact("g(p,t,i)"),
-                ),
-            ),
-        )
-    )
-    results = dict(ilp_rc(msg('gE(1,10,"Goal",7)'), cond))
-    assert {str(a) for a in results["goal-events"]} == {"g(1,10,7)"}
-
-
-def test_help_rc_definition():
-    assert help_rc([("A", frozenset({fact("f(1)")})), ("B", frozenset())]) == [
-        ("A", True),
-        ("B", False),
-    ]
-
-
-def test_help_rc_all_empty():
-    assert help_rc([("A", frozenset()), ("B", frozenset())]) == [("A", False), ("B", False)]
-
-
-def test_help_rc_exhaustive_small_sets():
-    # true iff non-empty, checked for all subsets of size 0..2
-    pool = [fact("f(1)"), fact("f(2)")]
-    for n in range(3):
-        for combo in itertools.combinations(pool, n):
-            [(_, flag)] = help_rc([("c", frozenset(combo))])
-            assert flag == (n > 0)
-
-
-def test_content_based_route_unique_channel():
-    assert content_based_route(msg('match("true")'), TRUE_FALSE) == "A"
-
-
-def test_content_based_route_no_match_is_violation():
-    with pytest.raises(ExclusivityViolation):
-        content_based_route(msg('match("other")'), TRUE_FALSE)
-
-
-def test_content_based_route_two_matches_is_violation():
-    both = RoutingCondition(
-        (
-            ("A", Condition((), fact("p(x)"))),
-            ("B", Condition((), fact("p(1)"))),
-        )
-    )
-    with pytest.raises(ExclusivityViolation) as err:
-        content_based_route(msg("p(1)"), both)
-    assert "A" in str(err.value) and "B" in str(err.value)
-
-
 # --- filter -------------------------------------------------------------------
+# The paper's message filter compiles to a content filter that derives
+# match-filtered, then a messageFilter node that drops messages left empty.
 
 
-FILTER_COND = Condition(
-    (parse_rule('match-filtered(matching):-match("true").'),),
-    fact("match-filtered(m)"),
-)
+def run_filter(*messages):
+    rg = compile_source(read_corpus("message_filter.lila"))
+    engine = Engine(rg, RunOptions(capture_only=True, inject=messages))
+    report = engine.run_batch()
+    delivered = [facts for bucket in engine.sink_facts.values() for facts in bucket]
+    return report, delivered
 
 
 def test_message_filter_passes_matching():
-    m = msg('match("true")')
-    assert message_filter(m, FILTER_COND) is m  # unchanged, same object
+    report, delivered = run_filter(msg('match("true")'))
+    assert delivered == [frozenset({fact('match-filtered("true")')})]
+    assert report.dropped == 0
 
 
 def test_message_filter_drops_non_matching():
-    assert message_filter(msg('match("false")'), FILTER_COND) is None
+    report, delivered = run_filter(msg('match("false")'))
+    assert delivered == []
+    assert report.dropped == 1
 
 
 def test_message_filter_drops_empty_body():
-    assert message_filter(msg(), FILTER_COND) is None
-
-
-def test_filter_router_agreement():
-    # a router restricted to one channel reduces to the filter
-    for body in ('match("true")', 'match("false")'):
-        m = msg(body)
-        [(_, flag)] = help_rc(ilp_rc(m, RoutingCondition((("c", FILTER_COND),))))
-        assert flag == (message_filter(m, FILTER_COND) is not None)
-
-
-# --- recipient list -----------------------------------------------------------
-
-
-def test_rd_ilp_projects_receiver_keys():
-    m = msg('body(1,"recv_1")', 'body(1,"recv_2")')
-    keys = rd_ilp(m, parse_rule("config(y):-body(x,y)."))
-    assert keys == ["recv_1", "recv_2"]
-
-
-def test_rd_ilp_no_match_routes_nowhere():
-    assert rd_ilp(msg(), parse_rule("config(y):-body(x,y).")) == []
-
-
-def test_rd_ilp_deduplicates_keys():
-    m = msg('body(1,"recv_1")', 'body(2,"recv_1")')
-    assert rd_ilp(m, parse_rule("config(y):-body(x,y).")) == ["recv_1"]
-
-
-def test_rd_ilp_requires_unary_head():
-    with pytest.raises(PatternConfigError):
-        rd_ilp(msg(), parse_rule("config(x,y):-body(x,y)."))
+    report, delivered = run_filter(msg())
+    assert delivered == []
+    assert report.dropped == 1
 
 
 # --- splitter -------------------------------------------------------------------

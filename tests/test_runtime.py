@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 
@@ -10,7 +11,7 @@ import pytest
 
 from lila import compile_source
 from lila.cdm import message
-from lila.datalog import parse_atom
+from lila.datalog import parse_atom, parse_rule
 from lila.runtime import (
     DirectChannels,
     EndpointUri,
@@ -26,7 +27,7 @@ from .conftest import read_corpus, write_soccer_fixtures
 
 def engine_for(source: str, base, bindings=None, **options) -> Engine:
     rg = compile_source(source, bindings)
-    opts = RunOptions(base_dir=base, parallel=False, **options)
+    opts = RunOptions(base_dir=base, **options)
     return Engine(rg, opts)
 
 
@@ -149,15 +150,14 @@ def test_missing_source_file_warns_and_consumes_nothing(tmp_path, soccer_source)
     assert any("gameEvents.json" in w for w in report.warnings)
 
 
-# --- determinism and parallel soundness ---------------------------------------------
+# --- determinism ----------------------------------------------------------------------
 
 
-def _run_soccer(tmp_path, soccer_source, parallel: bool):
+def _run_soccer(tmp_path, soccer_source):
     write_soccer_fixtures(tmp_path)
     engine = engine_for(
         soccer_source, tmp_path, {"config": "playerFeed"}, capture_only=True
     )
-    engine.options.parallel = parallel
     engine.run_batch()
     return {
         uri: sorted(sorted(str(a) for a in facts) for facts in buckets)
@@ -166,18 +166,12 @@ def _run_soccer(tmp_path, soccer_source, parallel: bool):
 
 
 def test_batch_mode_deterministic(tmp_path, soccer_source):
-    first = _run_soccer(tmp_path / "a", soccer_source, parallel=False)
-    second = _run_soccer(tmp_path / "b", soccer_source, parallel=False)
+    first = _run_soccer(tmp_path / "a", soccer_source)
+    second = _run_soccer(tmp_path / "b", soccer_source)
     assert first == second
 
 
-def test_parallel_soundness(tmp_path, soccer_source):
-    sequential = _run_soccer(tmp_path / "s", soccer_source, parallel=False)
-    parallel = _run_soccer(tmp_path / "p", soccer_source, parallel=True)
-    assert sequential == parallel
-
-
-def test_parallel_soundness_multi_payload(tmp_path):
+def test_multi_payload_directory_counts(tmp_path):
     base = tmp_path / "in"
     base.mkdir()
     source = read_corpus("message_filter.lila")
@@ -186,13 +180,9 @@ def test_parallel_soundness_multi_payload(tmp_path):
     for i in range(30):
         value = "true" if i % 2 == 0 else "false"
         (inbox / f"{i:03d}.dl").write_text(f'match("{value}").')
-    results = {}
-    for mode in (False, True):
-        engine = engine_for(source, base, capture_only=True)
-        engine.options.parallel = mode
-        report = engine.run_batch()
-        results[mode] = (report.consumed, report.produced, report.dropped)
-    assert results[False] == results[True] == (30, 15, 15)
+    engine = engine_for(source, base, capture_only=True)
+    report = engine.run_batch()
+    assert (report.consumed, report.produced, report.dropped) == (30, 15, 15)
 
 
 # --- joins and aggregation -----------------------------------------------------------
@@ -313,6 +303,59 @@ def test_poisoned_exchange_goes_to_dead_letter(tmp_path):
     assert report.produced >= 1
 
 
+def test_dead_letter_without_a_file_is_reported_as_a_warning():
+    poisoned = message(
+        facts={parse_atom("match(1)")},
+        rules=(parse_rule("boom(y):-match(x),y:=x/0."),),
+    )
+    engine = Engine(
+        compile_source(read_corpus("message_filter.lila")),
+        RunOptions(capture_only=True, inject=(poisoned, message(facts={parse_atom('match("true")')}))),
+    )
+    report = engine.run_batch()
+    assert (report.errored, report.produced) == (1, 1)
+    [warning] = [w for w in report.warnings if "failed at" in w]
+    assert "t000001" in warning and "division by zero" in warning
+    [filter_node] = engine.rg.nodes_of_kind("contentFilter")
+    assert filter_node.id in warning
+    assert report.conserved()
+
+
+def test_malformed_datalog_payload_goes_to_dead_letter(tmp_path):
+    inbox = tmp_path / "data" / "testMessageFilter"
+    inbox.mkdir(parents=True)
+    (inbox / "0.dl").write_text("match(")
+    (inbox / "1.dl").write_text('match("true").')
+    engine = engine_for(read_corpus("message_filter.lila"), tmp_path)
+    report = engine.run_batch()
+    assert (report.consumed, report.errored, report.produced) == (2, 1, 1)
+    [dead] = (tmp_path / ".deadletter").glob("*.json")
+    doc = json.loads(dead.read_text())
+    assert doc["raw"] == "match(" and "malformed datalog" in doc["error"]
+    assert report.conserved()
+
+
+def test_split_elements_keeps_a_non_array_payload_whole(tmp_path, soccer_source):
+    write_soccer_fixtures(tmp_path)
+    (tmp_path / "gameEvents.json").write_text("{not json")
+    engine = engine_for(
+        soccer_source, tmp_path, {"config": "playerFeed"}, split_elements=True
+    )
+    report = engine.run_batch()
+    # the converter rejects the whole payload instead of the run crashing
+    assert (report.consumed, report.errored) == (1, 1)
+    assert report.conserved()
+
+
+def test_unconserved_run_reports_a_warning(tmp_path, soccer_source):
+    write_soccer_fixtures(tmp_path)
+    engine = engine_for(soccer_source, tmp_path, {"config": "playerFeed"})
+    engine.report.replicated += 1  # a message the counters never account for
+    report = engine.run_batch()
+    assert not report.conserved()
+    assert any("not conserved" in w for w in report.warnings)
+
+
 def test_path_escape_is_rejected(tmp_path):
     source = "@from(file:../outside.json,json)\n{r(v).}\n@to(file:o.json,json)\n{r}"
     engine = engine_for(source, tmp_path)
@@ -324,7 +367,7 @@ def test_path_escape_is_rejected(tmp_path):
 def test_run_entrypoint_returns_report(tmp_path, soccer_source):
     write_soccer_fixtures(tmp_path)
     rg = compile_source(soccer_source, {"config": "playerFeed"})
-    report = run(rg, RunOptions(base_dir=tmp_path, parallel=False))
+    report = run(rg, RunOptions(base_dir=tmp_path))
     assert report.produced == 2
 
 
@@ -390,6 +433,30 @@ def test_watch_mode_consumes_new_files(tmp_path):
     assert not worker.is_alive()
     assert engine.report.consumed == 2
     assert engine.report.produced == 2
+
+
+def test_watch_state_forgets_deleted_files_and_rereads_rewritten_ones(tmp_path):
+    inbox = tmp_path / "data" / "testMessageFilter"
+    inbox.mkdir(parents=True)
+    for i in range(3):
+        (inbox / f"{i}.dl").write_text('match("true").')
+    engine = engine_for(read_corpus("message_filter.lila"), tmp_path, capture_only=True)
+    [route_id] = [r.id for r in engine.rg.routes if r.entry.kind == "fromEndpoint"]
+    engine._poll_sources()
+    engine._poll_sources()  # unchanged files are consumed once
+    engine._drain()
+    assert engine.report.consumed == 3
+    (inbox / "0.dl").unlink()
+    (inbox / "1.dl").unlink()
+    rewritten = inbox / "2.dl"
+    rewritten.write_text('match("true"). match("false").')
+    stat = rewritten.stat()
+    os.utime(rewritten, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1_000_000_000))
+    engine._poll_sources()
+    engine._drain()
+    assert set(engine._watched[route_id]) == {rewritten}
+    assert engine.report.consumed == 4
+    assert engine.report.produced == 4
 
 
 def test_file_sink_indexes_multiple_payloads(tmp_path):

@@ -192,21 +192,18 @@ def test_join_correlation_modes():
     assert join.config.correlation == "arrival"
 
 
-def test_splitter_and_aggregator_get_renaming_translators():
+def test_splitter_and_aggregator_apply_their_own_suffixes():
+    # sc_ilp and as_ilp rename the predicates; no separate translator node
     rg = rg_for(read_corpus("synthetic/gather.lila"))
     [route] = rg.routes
     kinds = [n.kind for n in route.nodes]
     assert kinds == [
         "fromEndpoint",
         "splitter",
-        "renamingTranslator",
         "aggregator",
-        "renamingTranslator",
         "messageFilter",
         "toEndpoint",
     ]
-    suffixes = [n.config.suffix for n in route.nodes if n.kind == "renamingTranslator"]
-    assert suffixes == ["-split", "-aggregate"]
 
 
 def test_routing_goal_gets_empty_message_filter():
