@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .datalog.ast import Atom, DatalogProgram, NumberConst, StringConst, Term, atom_sort_key
 from .datalog.parser import parse_program
@@ -86,9 +86,6 @@ class MessageHeader:
         )
         return tuple(m.parameter_name for m in metas)
 
-    def properties_dict(self) -> dict[str, str]:
-        return dict(self.properties)
-
 
 @dataclass(frozen=True)
 class Message:
@@ -99,9 +96,6 @@ class Message:
 
     def facts_of(self, predicate: str) -> list[Atom]:
         return sorted((a for a in self.body.facts if a.predicate == predicate), key=atom_sort_key)
-
-    def with_body(self, body: DatalogProgram) -> "Message":
-        return replace(self, body=body)
 
 
 def message(
@@ -288,35 +282,6 @@ def from_cdm(message: Message, spec: FormatSpec, exposed_predicates: list[str]) 
     for record in _records_for(message, predicate):
         writer.writerow(record)
     return out.getvalue().encode("utf-8")
-
-
-def project_by_name(
-    message: Message, predicate: str, names: list[str], as_predicate: str | None = None
-) -> "Rule":
-    """Build the projection rule keeping the named parameters, in order.
-
-    The head predicate defaults to the source predicate (identity-shaped when
-    all names are kept); pass ``as_predicate`` to avoid arity conflicts when
-    projecting to a subset.
-    """
-    from .datalog.ast import Rule, Variable
-
-    available = message.header.param_names(predicate)
-    if not available:
-        raise SerializationError(f"no meta-facts for predicate '{predicate}'")
-    positions = []
-    for name in names:
-        if name not in available:
-            raise SerializationError(
-                f"unknown parameter {name!r} for '{predicate}'; available: {', '.join(available)}"
-            )
-        positions.append(available.index(name))
-    body_vars = tuple(Variable(f"x{i + 1}") for i in range(len(available)))
-    head_vars = tuple(body_vars[i] for i in positions)
-    return Rule(
-        Atom(as_predicate or predicate, head_vars),
-        (Atom(predicate, body_vars),),
-    )
 
 
 def merge_meta(

@@ -60,33 +60,28 @@ def _load_program(args, stderr):
     return program, EXIT_OK
 
 
-def _check(program, stderr) -> int:
+def _check(program, stderr):
+    """Validate and build the pruned LDG, printing diagnostics; None on error."""
     diagnostics = validate_program(program)
     for diag in diagnostics:
         print(str(diag), file=stderr)
     if error_diags(diagnostics):
-        return EXIT_FAIL
+        return None
     try:
-        graph = build_ldg(program)
-        pruned = prune_unused(graph)
-        for warning in pruned.warnings:
-            print(str(warning), file=stderr)
+        pruned = prune_unused(build_ldg(program))
     except LdgError as exc:
         print(f"error: {exc}", file=stderr)
-        return EXIT_FAIL
-    return EXIT_OK
+        return None
+    for warning in pruned.warnings:
+        print(str(warning), file=stderr)
+    return pruned
 
 
 def cmd_check(args, stdout, stderr) -> int:
     program, status = _load_program(args, stderr)
     if program is None:
         return status
-    return _check(program, stderr)
-
-
-def _synthesize(program, stderr):
-    graph = prune_unused(build_ldg(program))
-    return synthesize_routes(graph)
+    return EXIT_FAIL if _check(program, stderr) is None else EXIT_OK
 
 
 def _emit(text: str, out_path: str | None, stdout) -> None:
@@ -100,13 +95,11 @@ def cmd_graph(args, stdout, stderr) -> int:
     program, status = _load_program(args, stderr)
     if program is None:
         return status
-    if _check(program, stderr) != EXIT_OK:
+    ldg = _check(program, stderr)
+    if ldg is None:
         return EXIT_FAIL
     try:
-        if args.ldg:
-            text = export_ldg_dot(prune_unused(build_ldg(program)))
-        else:
-            text = export_rg_dot(_synthesize(program, stderr))
+        text = export_ldg_dot(ldg) if args.ldg else export_rg_dot(synthesize_routes(ldg))
     except (LdgError, SynthesisError) as exc:
         print(f"error: {exc}", file=stderr)
         return EXIT_FAIL
@@ -118,10 +111,11 @@ def cmd_compile(args, stdout, stderr) -> int:
     program, status = _load_program(args, stderr)
     if program is None:
         return status
-    if _check(program, stderr) != EXIT_OK:
+    ldg = _check(program, stderr)
+    if ldg is None:
         return EXIT_FAIL
     try:
-        text = rg_to_json(_synthesize(program, stderr))
+        text = rg_to_json(synthesize_routes(ldg))
     except (LdgError, SynthesisError) as exc:
         print(f"error: {exc}", file=stderr)
         return EXIT_FAIL
@@ -138,7 +132,8 @@ def cmd_run(args, stdout, stderr) -> int:
         names = ", ".join(f"${m}" for m in sorted(set(missing)))
         print(f"error: unbound placeholder(s): {names}", file=stderr)
         return EXIT_FAIL
-    if _check(program, stderr) != EXIT_OK:
+    ldg = _check(program, stderr)
+    if ldg is None:
         return EXIT_FAIL
     base_dir = (
         Path(args.base_dir)
@@ -152,8 +147,7 @@ def cmd_run(args, stdout, stderr) -> int:
         watch_duration_ms=args.watch_duration_ms,
     )
     try:
-        rg = _synthesize(program, stderr)
-        report = run(rg, options)
+        report = run(synthesize_routes(ldg), options)
     except (LdgError, SynthesisError, WiringError) as exc:
         print(f"error: {exc}", file=stderr)
         return EXIT_FAIL

@@ -187,16 +187,6 @@ def expr_variables(expr: Expr) -> set[str]:
     return set()
 
 
-def rule_variables(rule: Rule) -> set[str]:
-    names = {t.name for t in rule.head.terms if isinstance(t, Variable)}
-    for elem in rule.body:
-        if isinstance(elem, Atom):
-            names |= {t.name for t in elem.terms if isinstance(t, Variable)}
-        else:
-            names |= expr_variables(elem.left) | expr_variables(elem.right)
-    return names
-
-
 def body_atom_variables(rule: Rule) -> set[str]:
     names: set[str] = set()
     for elem in rule.body:

@@ -409,9 +409,9 @@ def _compile(rules: tuple[Rule, ...]) -> tuple[_Stratum, ...]:
     """Strata in dependency order, each with the join plans of its rules.
 
     Plans carry their rules' constants, so the cache relies on ``Rule``
-    equality telling ``2`` from ``2.0``. Worker threads share the cache;
-    plans are immutable, so two threads that miss at once just compile the
-    same plans twice.
+    equality telling ``2`` from ``2.0``. Concurrent callers share the
+    cache; plans are immutable, so two callers that miss at once just
+    compile the same plans twice.
     """
     graph = nx.DiGraph()
     for head, body in sorted(rule_dependency_graph(rules).items()):

@@ -5,6 +5,9 @@ groups are collapsed into a single processor so the node-level graph stays
 acyclic (rule-level cycles live inside processors). Enrichers and inline
 facts are placed per the language rules: interposed after an existing
 producer of their relation, otherwise wired directly before their consumers.
+Aggregator and splitter nodes produce their queried relations under the
+``-aggregate`` / ``-split`` suffix from the moment they are built, so a
+single wiring pass binds downstream consumers to them.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ class LdgNode:
     rules: tuple[Rule, ...] = ()
     annotation: Annotation | None = None
     facts: tuple[Atom, ...] = ()
-    suffix_applied: bool = False
 
     def label(self) -> str:
         if self.kind == "factSource":
@@ -77,17 +79,11 @@ class Ldg:
                 return node
         raise KeyError(node_id)
 
-    def successors(self, node_id: str) -> list[str]:
-        return sorted(dst for src, dst in self.edges if src == node_id)
-
     def predecessors(self, node_id: str) -> list[str]:
         return sorted(src for src, dst in self.edges if dst == node_id)
 
     def in_degree(self, node_id: str) -> int:
         return sum(1 for _, dst in self.edges if dst == node_id)
-
-    def out_degree(self, node_id: str) -> int:
-        return sum(1 for src, _ in self.edges if src == node_id)
 
     def to_networkx(self) -> nx.DiGraph:
         graph = nx.DiGraph()
@@ -175,13 +171,17 @@ def _annotation_node(
             consumed=frozenset(),
             annotation=ann,
         )
-    kind = "aggregator" if ann.name == "aggregate" else "splitter"
+    # aggregators and splitters emit their queried relations under a suffix;
+    # downstream consumers reference the suffixed names in source
+    kind, suffix = (
+        ("aggregator", AGGREGATE_SUFFIX) if ann.name == "aggregate" else ("splitter", SPLIT_SUFFIX)
+    )
     i = index[ann.name] = index.get(ann.name, 0) + 1
     queried = frozenset(q.predicate for q in ann.queries)
     return LdgNode(
         id=_fresh_id(f"{ann.name}:{i}", taken),
         kind=kind,
-        produced=queried,  # renamed by apply_suffix_rewriting
+        produced=frozenset(p + suffix for p in queried),
         consumed=queried,
         annotation=ann,
     )
@@ -212,7 +212,7 @@ def _build_nodes(program: LilaProgram) -> tuple[LdgNode, ...]:
 # --- wiring ------------------------------------------------------------------------
 
 
-def _wire(nodes: tuple[LdgNode, ...], check_unresolved: bool = True):
+def _wire(nodes: tuple[LdgNode, ...]):
     """Compute data-dependency edges from produced/consumed sets.
 
     Enricher and inlineFacts nodes interpose after existing producers of
@@ -252,7 +252,7 @@ def _wire(nodes: tuple[LdgNode, ...], check_unresolved: bool = True):
             if pred in AMBIENT_PREDICATES or node.id in chain_members.get(pred, ()):
                 continue
             providers = provider_of.get(pred, [])
-            if not providers and check_unresolved:
+            if not providers:
                 unresolved.append(f"'{pred}' consumed by {node.id} is never produced")
             for provider in providers:
                 if provider != node.id:
@@ -284,9 +284,8 @@ def _check_suffix_ambiguity(nodes, edges):
         if node.kind not in ("aggregator", "splitter"):
             continue
         suffix = AGGREGATE_SUFFIX if node.kind == "aggregator" else SPLIT_SUFFIX
-        raw = {p for p in node.consumed}
         for descendant in nx.descendants(graph, node.id):
-            overlap = by_id[descendant].consumed & raw
+            overlap = by_id[descendant].consumed & node.consumed
             if overlap:
                 pred = sorted(overlap)[0]
                 raise SuffixAmbiguityError(
@@ -295,54 +294,17 @@ def _check_suffix_ambiguity(nodes, edges):
                 )
 
 
-def apply_suffix_rewriting(ldg: Ldg) -> Ldg:
-    """Rename aggregator/splitter outputs with their suffix and rewire.
-
-    Idempotent: nodes already rewritten are left untouched. Downstream
-    consumers reference the suffixed names in source, so rewiring binds them
-    to the aggregator/splitter nodes; upstream references stay on the
-    original producers.
-    """
-    changed = False
-    nodes = []
-    for node in ldg.nodes:
-        if node.kind in ("aggregator", "splitter") and not node.suffix_applied:
-            suffix = AGGREGATE_SUFFIX if node.kind == "aggregator" else SPLIT_SUFFIX
-            nodes.append(
-                replace(
-                    node,
-                    produced=frozenset(p + suffix for p in node.produced),
-                    suffix_applied=True,
-                )
-            )
-            changed = True
-        else:
-            nodes.append(node)
-    if not changed:
-        return ldg
-    wired, edges = _wire(tuple(nodes))
-    _check_suffix_ambiguity(wired, edges)
-    _check_acyclic(wired, edges)
-    return Ldg(wired, edges, ldg.warnings)
-
-
-def build_ldg(program: LilaProgram, rewrite_suffixes: bool = True) -> Ldg:
+def build_ldg(program: LilaProgram) -> Ldg:
     """Build the dependency graph for a validated program.
 
+    Aggregator and splitter nodes carry their suffixed output names from
+    construction, so one wiring pass binds downstream consumers to them.
     Raises CycleError / UnresolvedDependencyError / SuffixAmbiguityError on
-    structural problems. With ``rewrite_suffixes=False`` the aggregator and
-    splitter outputs keep their raw names and unresolved references are
-    tolerated (useful to inspect the pre-rewriting graph).
+    structural problems.
     """
-    nodes = _build_nodes(program)
-    if not rewrite_suffixes:
-        wired, edges = _wire(nodes, check_unresolved=False)
-        return Ldg(wired, edges)
-    preliminary = Ldg(nodes, frozenset())
-    has_suffix_nodes = any(n.kind in ("aggregator", "splitter") for n in nodes)
-    if has_suffix_nodes:
-        return apply_suffix_rewriting(preliminary)
-    wired, edges = _wire(nodes)
+    wired, edges = _wire(_build_nodes(program))
+    if any(n.kind in ("aggregator", "splitter") for n in wired):
+        _check_suffix_ambiguity(wired, edges)
     _check_acyclic(wired, edges)
     return Ldg(wired, edges)
 

@@ -55,7 +55,6 @@ class Annotation:
     queries: tuple[Atom, ...] = ()  # aggregate / split bodies
     exposed: tuple[str, ...] = ()  # to bodies; empty means auto-resolve
     pos: SourcePos = field(default=SourcePos(0, 0), compare=False)
-    brace_head: bool = field(default=False, compare=False)
 
     @property
     def uri(self) -> str:
@@ -258,13 +257,11 @@ def _parse_annotation(scanner: _Scanner, warnings: list[Diagnostic]) -> Annotati
         raise LilaSyntaxError(f"unknown annotation @{name}", pos.line, pos.col)
     scanner.skip_trivia()
 
-    brace_head = False
     if scanner.peek() == "(":
         raw, _ = scanner.scan_balanced("(", ")")
     elif scanner.peek() == "{":
         # brace-delimited head (accepted, normalized to parentheses)
         raw, _ = scanner.scan_balanced("{", "}")
-        brace_head = True
         warnings.append(
             Diagnostic(
                 "warning", "brace-head",
@@ -296,7 +293,7 @@ def _parse_annotation(scanner: _Scanner, warnings: list[Diagnostic]) -> Annotati
     if scanner.peek() == "{":
         body_raw, body_pos = scanner.scan_balanced("{", "}")
 
-    annotation = Annotation(name, params, pos=pos, brace_head=brace_head)
+    annotation = Annotation(name, params, pos=pos)
     if name in ("from", "enrich"):
         if body_raw is None:
             raise LilaSyntaxError(f"@{name} requires a declaration body", pos.line, pos.col)
@@ -340,6 +337,7 @@ def _parse_datalog_statements(scanner: _Scanner) -> list:
     parser = _Parser(tokenize(text, start_line, start_col))
     statements = []
     while parser.cur.kind != "eof":
+        first = parser.cur
         kind, node = parser.parse_statement()
         if kind == "query":
             tok = parser.tokens[max(parser.i - 1, 0)]
@@ -347,9 +345,7 @@ def _parse_datalog_statements(scanner: _Scanner) -> list:
                 "queries are only allowed inside annotation bodies", tok.line, tok.col
             )
         if kind == "fact" and not node.is_ground():
-            raise LilaSyntaxError(
-                f"fact {node} contains variables", start_line, start_col
-            )
+            raise LilaSyntaxError(f"fact {node} contains variables", first.line, first.col)
         statements.append(node)
     return statements
 

@@ -38,7 +38,7 @@ from .patterns import (
     mt_ilp,
     sc_ilp,
 )
-from .synthesis import RgNode, RouteGraph
+from .synthesis import RgNode, RouteGraph, SynthesisError, check_channels
 
 logger = logging.getLogger(__name__)
 
@@ -148,9 +148,6 @@ class DirectChannels:
     def __init__(self, names):
         self._queues: dict[str, deque] = {name: deque() for name in names}
 
-    def declared(self, name: str) -> bool:
-        return name in self._queues
-
     def _queue(self, name: str) -> deque:
         if name not in self._queues:
             raise WiringError(f"direct channel {name!r} is not declared")
@@ -224,19 +221,10 @@ class Engine:
     # -- wiring ---------------------------------------------------------------
 
     def _wired(self) -> None:
-        for node in self.rg.nodes:
-            refs = []
-            if node.kind in ("toDirect", "fromDirect"):
-                refs = [node.config.channel]
-            elif node.kind == "multicast":
-                refs = list(node.config.targets)
-            elif node.kind == "enricherCall" and node.config.channel:
-                refs = [node.config.channel]
-            for channel in refs:
-                if not self.channels.declared(channel):
-                    raise WiringError(
-                        f"{node.id} references undeclared channel {channel!r}"
-                    )
+        try:
+            check_channels(self.rg)
+        except SynthesisError as exc:
+            raise WiringError(str(exc)) from exc
         for node in self.rg.nodes:
             if node.kind in ("fromEndpoint", "toEndpoint"):
                 EndpointUri.parse(node.config.uri)  # raises on malformed URIs

@@ -1,6 +1,8 @@
 """Rule-based pattern detection on the LDG and transformation to the Route Graph.
 
-Transformation pipeline (order matters):
+``synthesize_routes`` is the one path from a dependency graph to a route
+graph. Its builder detects each pattern site on the LDG and rewrites it in
+place, in this order:
 
   1. enricher expansion: every ``@enrich`` becomes its own route headed by a
      direct channel; each consumer gets an enricher-call node that invokes
@@ -12,15 +14,17 @@ Transformation pipeline (order matters):
   3. multicast: nodes feeding more than one channel get a multicast node
      referencing the successors' direct channels; successors become routes.
 
-Remaining linear chains are concatenated into routes. Cross-route data flow
-happens only on to-direct/from-direct pairs; multicast targets and enricher
-calls reference channels through their configuration.
+Remaining linear chains are concatenated into routes. The route graph stores
+only its routes: pipeline edges and channel links are derived from them.
+Cross-route data flow happens only on to-direct/from-direct pairs; multicast
+targets and enricher calls reference channels through their configuration.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import networkx as nx
 
@@ -103,6 +107,16 @@ class RgNode:
             return f"enrich({target})"
         return self.kind
 
+    def referenced_channels(self) -> tuple[str, ...]:
+        """Direct channels this node sends to, reads from or calls."""
+        if self.kind in ("toDirect", "fromDirect"):
+            return (self.config.channel,)
+        if self.kind == "multicast":
+            return self.config.targets
+        if self.kind == "enricherCall" and self.config.channel:
+            return (self.config.channel,)
+        return ()
+
 
 @dataclass(frozen=True)
 class Route:
@@ -116,94 +130,67 @@ class Route:
 
 @dataclass(frozen=True)
 class RouteGraph:
-    """Routes of pipeline-connected nodes plus cross-route channel links.
+    """Routes of pipeline-connected nodes; edges and links derive from them.
 
-    ``edges`` are the in-route pipeline connections (every node keeps
-    in/out-degree <= 1 on them, multicast excepted for fan-out semantics).
-    ``links`` carry the message flow between routes: each link connects a
-    to-direct node to the from-direct entry consuming the same channel.
-    Multicast targets and enricher calls reference channels through their
-    node configuration.
+    ``edges`` are the in-route pipeline connections: each pair of
+    consecutive nodes of a route. ``links`` carry the message flow between
+    routes: each to-direct node is linked to the from-direct entry of the
+    route consuming its channel. Multicast targets and enricher calls
+    reference channels through their node configuration.
     """
 
     routes: tuple[Route, ...]
-    edges: frozenset[tuple[str, str]]
-    links: frozenset[tuple[str, str]] = frozenset()
     warnings: tuple[Diagnostic, ...] = field(default=(), compare=False)
 
     @property
     def nodes(self) -> tuple[RgNode, ...]:
         return tuple(n for r in self.routes for n in r.nodes)
 
-    def node(self, node_id: str) -> RgNode:
-        for node in self.nodes:
-            if node.id == node_id:
-                return node
-        raise KeyError(node_id)
+    @property
+    def edges(self) -> frozenset[tuple[str, str]]:
+        return frozenset(
+            (a.id, b.id) for r in self.routes for a, b in zip(r.nodes, r.nodes[1:])
+        )
+
+    @property
+    def links(self) -> frozenset[tuple[str, str]]:
+        entries = self._entries()
+        return frozenset(
+            (n.id, entries[n.config.channel].id) for n in self.nodes if n.kind == "toDirect"
+        )
+
+    def _entries(self) -> dict[str, RgNode]:
+        """Direct channel name -> the from-direct entry consuming it."""
+        return {
+            r.entry.config.channel: r.entry for r in self.routes if r.entry.kind == "fromDirect"
+        }
 
     def channels(self) -> dict[str, str]:
         """Direct channel name -> id of the consuming route."""
-        out = {}
-        for route in self.routes:
-            if route.entry.kind == "fromDirect":
-                out[route.entry.config.channel] = route.id
-        return out
+        return {channel: entry.route_id for channel, entry in self._entries().items()}
 
     def nodes_of_kind(self, kind: str) -> list[RgNode]:
         return [n for n in self.nodes if n.kind == kind]
 
     def channel_references(self) -> list[tuple[str, str]]:
         """All cross-route flows: direct links plus multicast/enrich targets."""
-        heads = {}
-        for route in self.routes:
-            if route.entry.kind == "fromDirect":
-                heads[route.entry.config.channel] = route.entry.id
-        refs = list(self.links)
-        for node in self.nodes:
-            if node.kind == "multicast":
-                refs += [(node.id, heads[t]) for t in node.config.targets]
-            elif node.kind == "enricherCall" and node.config.channel:
-                refs.append((node.id, heads[node.config.channel]))
-        return sorted(refs)
+        entries = self._entries()
+        return sorted(
+            (node.id, entries[channel].id)
+            for node in self.nodes
+            if node.kind != "fromDirect"
+            for channel in node.referenced_channels()
+        )
 
 
-# --- detection (pure queries on the LDG) --------------------------------------------
+# --- fragment construction -----------------------------------------------------------
 
 
-def detect_join_router(ldg: Ldg) -> list[str]:
-    """Nodes fed by more than one channel (mc: in-degree > 1)."""
-    return sorted(n.id for n in ldg.nodes if ldg.in_degree(n.id) > 1)
-
-
-def detect_multicast(ldg: Ldg) -> list[str]:
-    """Nodes feeding more than one channel (mc: out-degree > 1).
-
-    Enricher fan-out is handled by the enricher transformation, so enricher
-    nodes are not multicast sites.
-    """
-    return sorted(
-        n.id
-        for n in ldg.nodes
-        if n.kind != "enricher" and ldg.out_degree(n.id) > 1
-    )
-
-
-def detect_enricher(ldg: Ldg) -> list[str]:
-    return sorted(n.id for n in ldg.nodes if n.kind == "enricher")
-
-
-# --- fragment construction (shared by the public transforms and the builder) ---------
-
-
-class _Proto:
+class _Proto(NamedTuple):
     """Route-graph node before id/route assignment."""
 
-    __slots__ = ("kind", "config", "origin")
-
-    def __init__(self, kind: str, config: PatternConfig, origin: str = ""):
-        self.kind = kind
-        self.config = config
-        self.origin = origin
+    kind: str
+    config: PatternConfig
 
 
 def _channel_base(node: LdgNode) -> str:
@@ -211,7 +198,7 @@ def _channel_base(node: LdgNode) -> str:
     return "direct:" + (sorted(preds)[0] if preds else node.id)
 
 
-def _join_fragment(channel: str, in_degree: int, correlation: str = "trace") -> list[_Proto]:
+def _join_fragment(channel: str, in_degree: int, correlation: str) -> list[_Proto]:
     return [
         _Proto("fromDirect", PatternConfig(channel=channel)),
         _Proto(
@@ -224,49 +211,6 @@ def _join_fragment(channel: str, in_degree: int, correlation: str = "trace") -> 
             ),
         ),
     ]
-
-
-def transform_join_router(ldg: Ldg, site: str) -> list[tuple[str, PatternConfig]]:
-    """RG fragment for one join site: from-direct + join aggregator at the
-    site, one to-direct per predecessor. Returns (kind, config) pairs."""
-    in_degree = ldg.in_degree(site)
-    if in_degree <= 1:
-        raise SynthesisError(f"{site} is not a join site (in-degree {in_degree})")
-    channel = _channel_base(ldg.node(site))
-    fragment = [(p.kind, p.config) for p in _join_fragment(channel, in_degree)]
-    fragment += [
-        ("toDirect", PatternConfig(channel=channel)) for _ in ldg.predecessors(site)
-    ]
-    return fragment
-
-
-def detect_and_transform_enricher(ldg: Ldg):
-    """Expand every enricher into its route fragment plus consumer calls.
-
-    Returns (routes, calls, warnings): one (channel, fragment) per enricher
-    route, and one (host node id, call config) per placed enricher-call node
-    (directly before each consumer, or directly after the producer when the
-    enriched relation is produced elsewhere).
-    """
-    builder = _Builder(ldg)
-    builder.expand_enrichers()
-    routes = [
-        (channel, [(p.kind, p.config) for p in protos])
-        for channel, protos in builder.extra_routes
-    ]
-    return routes, list(builder.enricher_calls), tuple(builder.warnings)
-
-
-def transform_multicast(ldg: Ldg, site: str) -> list[tuple[str, PatternConfig]]:
-    """RG fragment for one multicast site: the multicast node plus one
-    from-direct per successor (each successor starts its own route)."""
-    successors = ldg.successors(site)
-    if len(successors) <= 1:
-        raise SynthesisError(f"{site} is not a multicast site (out-degree {len(successors)})")
-    channels = sorted(_channel_base(ldg.node(s)) for s in successors)
-    fragment = [("multicast", PatternConfig(targets=tuple(channels)))]
-    fragment += [("fromDirect", PatternConfig(channel=c)) for c in channels]
-    return fragment
 
 
 # --- the builder ----------------------------------------------------------------------
@@ -284,9 +228,7 @@ class _Builder:
         self.heads: dict[str, str] = {}  # graph node id -> channel
         self.taken_channels: set[str] = set()
         self.extra_routes: list[tuple[str, list[_Proto]]] = []  # enricher routes
-        self.enricher_calls: list[tuple[str, PatternConfig]] = []  # host node, call
         self.covered: set[tuple[str, str]] = set()  # edges realized by multicast
-        self.cross: list[tuple[_Proto, str]] = []  # toDirect proto -> target graph node
         self.warnings: list[Diagnostic] = list(ldg.warnings)
 
     # -- segments --
@@ -299,7 +241,6 @@ class _Builder:
                 _Proto(
                     "fromEndpoint",
                     PatternConfig(uri=ann.uri, format=fmt, relations=ann.declarations),
-                    origin=node.id,
                 )
             ]
             if fmt != "datalog":
@@ -314,7 +255,7 @@ class _Builder:
             ann = node.annotation
             fmt = ann.format()
             exposed = tuple(sorted(node.consumed))
-            seg = [_Proto("messageFilter", PatternConfig(exposed=exposed), origin=node.id)]
+            seg = [_Proto("messageFilter", PatternConfig(exposed=exposed))]
             if fmt != "datalog":
                 seg.append(
                     _Proto(
@@ -333,11 +274,7 @@ class _Builder:
             }
             kind = "translator" if len(body_preds) > 1 else "contentFilter"
             return [
-                _Proto(
-                    kind,
-                    PatternConfig(rules=node.rules, exposed=tuple(sorted(node.produced))),
-                    origin=node.id,
-                )
+                _Proto(kind, PatternConfig(rules=node.rules, exposed=tuple(sorted(node.produced))))
             ]
         if node.kind == "aggregator":
             cfg = aggregator_config(node)
@@ -351,13 +288,10 @@ class _Builder:
                         queries=node.annotation.queries,
                         correlation="queries",
                     ),
-                    origin=node.id,
                 ),
             ]
         if node.kind == "splitter":
-            return [
-                _Proto("splitter", PatternConfig(queries=node.annotation.queries), origin=node.id),
-            ]
+            return [_Proto("splitter", PatternConfig(queries=node.annotation.queries))]
         raise SynthesisError(f"no segment for node kind {node.kind}")
 
     # -- channels --
@@ -409,7 +343,6 @@ class _Builder:
                         relations=ann.declarations,
                         strategy="union",
                     ),
-                    origin=node_id,
                 )
                 self.extra_routes.append(
                     (channel, [_Proto("fromDirect", PatternConfig(channel=channel)), reader])
@@ -426,7 +359,6 @@ class _Builder:
                 # relation produced elsewhere: enrich directly after the producer
                 for p in preds:
                     self.segments[p].append(_Proto("enricherCall", call_config))
-                    self.enricher_calls.append((p, call_config))
                 for p in preds:
                     for s in succs:
                         self.edges.add((p, s))
@@ -434,7 +366,6 @@ class _Builder:
                 # no producer: enrich directly before each consumer
                 for s in succs:
                     self.segments[s].insert(0, _Proto("enricherCall", call_config))
-                    self.enricher_calls.append((s, call_config))
             self._remove_node(node_id)
 
     def _remove_node(self, node_id: str) -> None:
@@ -461,7 +392,7 @@ class _Builder:
             roots[node_id] = frozenset(merged)
         return roots
 
-    def transform_join_sites(self) -> None:
+    def insert_join_routers(self) -> None:
         """Insert from-direct + join aggregator at every multi-channel node.
 
         Branches fanned out from the same sources re-join per source payload
@@ -482,7 +413,7 @@ class _Builder:
 
     # -- pass 2: multicast --
 
-    def transform_multicast_sites(self) -> None:
+    def insert_multicasts(self) -> None:
         out: dict[str, list[str]] = {}
         for src, dst in self.edges:
             out.setdefault(src, []).append(dst)
@@ -505,9 +436,9 @@ class _Builder:
         chain_prev: dict[str, str] = {}
         for src, dst in sorted(self.edges - self.covered):
             if dst in self.heads:
-                to_direct = _Proto("toDirect", PatternConfig(channel=self.heads[dst]))
-                self.segments[src].append(to_direct)
-                self.cross.append((to_direct, dst))
+                self.segments[src].append(
+                    _Proto("toDirect", PatternConfig(channel=self.heads[dst]))
+                )
             else:
                 if src in chain_next or dst in chain_prev:
                     raise SynthesisError(
@@ -535,59 +466,40 @@ class _Builder:
                 )
             roots.append(node_id)
 
-        ordered_routes: list[tuple[tuple, list[_Proto], str]] = []
+        ordered_routes: list[tuple[tuple, list[_Proto]]] = []
         for root in roots:
             protos: list[_Proto] = []
             walk: str | None = root
-            origin_ids = []
             while walk is not None:
                 protos.extend(self.segments[walk])
-                origin_ids.append(walk)
                 walk = chain_next.get(walk)
             head = protos[0]
             if head.kind == "fromEndpoint":
-                node = self.nodes[root]
-                key = (0, node.annotation.pos.line, head.config.uri)
+                key = (0, self.nodes[root].annotation.pos.line, head.config.uri)
             else:
                 key = (1, 0, head.config.channel)
-            ordered_routes.append((key, protos, ",".join(origin_ids)))
+            ordered_routes.append((key, protos))
         for channel, protos in self.extra_routes:
-            ordered_routes.append(((1, 0, channel), protos, protos[1].origin))
+            ordered_routes.append(((1, 0, channel), protos))
         ordered_routes.sort(key=lambda item: item[0])
 
-        routes: list[Route] = []
-        proto_ids: dict[int, str] = {}
-        edges: set[tuple[str, str]] = set()
-        for r_index, (_, protos, _) in enumerate(ordered_routes, start=1):
+        routes = []
+        for r_index, (_, protos) in enumerate(ordered_routes, start=1):
             route_id = f"r{r_index}"
-            rg_nodes = []
-            for n_index, proto in enumerate(protos):
-                node_id = f"{route_id}n{n_index}"
-                proto_ids[id(proto)] = node_id
-                rg_nodes.append(RgNode(node_id, proto.kind, route_id, proto.config))
-            for a, b in zip(rg_nodes, rg_nodes[1:]):
-                edges.add((a.id, b.id))
-            routes.append(Route(route_id, tuple(rg_nodes)))
-
-        # cross-route channel links: toDirect -> fromDirect of the head route
-        head_entry: dict[str, str] = {}
-        for route in routes:
-            if route.entry.kind == "fromDirect":
-                head_entry[route.entry.config.channel] = route.entry.id
-        links = set()
-        for to_direct, _target in self.cross:
-            channel = to_direct.config.channel
-            links.add((proto_ids[id(to_direct)], head_entry[channel]))
-
-        return RouteGraph(tuple(routes), frozenset(edges), frozenset(links), tuple(self.warnings))
+            nodes = tuple(
+                RgNode(f"{route_id}n{n_index}", proto.kind, route_id, proto.config)
+                for n_index, proto in enumerate(protos)
+            )
+            routes.append(Route(route_id, nodes))
+        return RouteGraph(tuple(routes), tuple(self.warnings))
 
 
 def synthesize_routes(ldg: Ldg) -> RouteGraph:
     """Transform a dependency graph into an executable route graph."""
     builder = _Builder(ldg)
     builder.expand_enrichers()
-    builder.transform_join_sites()
-    builder.transform_multicast_sites()
+    builder.insert_join_routers()
+    builder.insert_multicasts()
     rg = builder.assemble()
     check_route_graph(rg)
     return rg
@@ -596,50 +508,27 @@ def synthesize_routes(ldg: Ldg) -> RouteGraph:
 # --- invariants -------------------------------------------------------------------------
 
 
-def check_route_graph(rg: RouteGraph) -> None:
-    """Structural invariants; violation means a synthesis bug."""
-    by_id = {n.id: n for n in rg.nodes}
-    in_deg: dict[str, int] = {n.id: 0 for n in rg.nodes}
-    out_deg: dict[str, int] = {n.id: 0 for n in rg.nodes}
-    for src, dst in rg.edges:
-        out_deg[src] += 1
-        in_deg[dst] += 1
+def check_channels(rg: RouteGraph) -> None:
+    """Every direct channel a node references has a consuming route."""
+    channels = rg.channels()
     for node in rg.nodes:
-        if node.kind == "multicast":
-            continue
-        if in_deg[node.id] > 1:
-            raise SynthesisError(f"{node.id} ({node.kind}) has in-degree {in_deg[node.id]}")
-        if out_deg[node.id] > 1:
-            raise SynthesisError(f"{node.id} ({node.kind}) has out-degree {out_deg[node.id]}")
-    route_of = {n.id: n.route_id for n in rg.nodes}
-    for src, dst in rg.edges:
-        if route_of[src] != route_of[dst]:
-            raise SynthesisError(f"pipeline edge {src}->{dst} crosses routes")
-    for src, dst in rg.links:
-        if by_id[src].kind != "toDirect" or by_id[dst].kind != "fromDirect":
-            raise SynthesisError(
-                f"cross-route link {src}->{dst} is not a toDirect/fromDirect pair"
-            )
+        for channel in node.referenced_channels():
+            if channel not in channels:
+                raise SynthesisError(f"{node.id} references undeclared channel {channel!r}")
+
+
+def check_route_graph(rg: RouteGraph) -> None:
+    """Invariants a graph assembled from routes can break; a violation means
+    a synthesis bug. Pipeline degrees, route membership of edges and the
+    to-direct/from-direct pairing of links hold by construction."""
+    check_channels(rg)
     # the full message flow (pipeline, direct links, channel references) is acyclic
     graph = nx.DiGraph()
-    graph.add_nodes_from(by_id)
+    graph.add_nodes_from(n.id for n in rg.nodes)
     graph.add_edges_from(rg.edges)
     graph.add_edges_from(rg.channel_references())
     if not nx.is_directed_acyclic_graph(graph):
         raise SynthesisError("route graph contains a cycle")
-
-    channels = rg.channels()
-    for node in rg.nodes:
-        refs = []
-        if node.kind in ("toDirect", "fromDirect"):
-            refs = [node.config.channel]
-        elif node.kind == "multicast":
-            refs = list(node.config.targets)
-        elif node.kind == "enricherCall" and node.config.channel:
-            refs = [node.config.channel]
-        for channel in refs:
-            if channel not in channels:
-                raise SynthesisError(f"{node.id} references undeclared channel {channel!r}")
 
 
 # --- exports ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from lila.cdm import (
     SerializationError,
     from_cdm,
     message,
-    project_by_name,
     to_cdm,
     validate_message,
 )
@@ -143,30 +142,6 @@ def test_from_cdm_missing_meta_is_error():
     msg = message(facts={Atom("match", (StringConst("true"),))})
     with pytest.raises(SerializationError, match="meta-facts"):
         from_cdm(msg, FormatSpec("json"), ["match"])
-
-
-def test_project_by_name_keeps_position():
-    msg = message(meta=MATCH_2.meta_facts())
-    rule = project_by_name(msg, "match", ["matching"], as_predicate="p")
-    assert str(rule) == "p(x1):-match(x1,x2)."
-
-
-def test_project_by_name_reversed_order():
-    msg = message(meta=MATCH_2.meta_facts())
-    rule = project_by_name(msg, "match", ["count", "matching"], as_predicate="p")
-    assert str(rule) == "p(x2,x1):-match(x1,x2)."
-
-
-def test_project_by_name_identity():
-    msg = message(meta=MATCH_2.meta_facts())
-    rule = project_by_name(msg, "match", ["matching", "count"])
-    assert str(rule) == "match(x1,x2):-match(x1,x2)."
-
-
-def test_project_by_name_unknown_name():
-    msg = message(meta=MATCH_2.meta_facts())
-    with pytest.raises(SerializationError, match="available: matching, count"):
-        project_by_name(msg, "match", ["nope"])
 
 
 def test_meta_fact_completeness():

@@ -1,4 +1,4 @@
-"""Dependency graph construction, suffix rewriting, pruning, DOT export."""
+"""Dependency graph construction, suffixed outputs, pruning, DOT export."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from lila.ldg import (
     CycleError,
     SuffixAmbiguityError,
     UnresolvedDependencyError,
-    apply_suffix_rewriting,
     build_ldg,
     export_ldg_dot,
     prune_unused,
@@ -159,33 +158,16 @@ def test_enricher_without_producer_feeds_consumer_directly():
     assert ("enrich:products.json", "proc:detail") in ldg.edges
 
 
-# --- suffix rewriting ---------------------------------------------------------------
+# --- suffixed outputs ---------------------------------------------------------------
 
 
 def test_suffix_rewriting_binds_downstream_consumer():
     ldg = ldg_for(read_corpus("synthetic/splitter.lila"))
     splitter = ldg.node("split:1")
+    # built with the suffixed names: consumes the raw relations, emits the split ones
+    assert splitter.consumed == {"a", "b"}
     assert splitter.produced == {"a-split", "b-split"}
     assert ("split:1", "proc:keep") in ldg.edges
-
-
-def test_suffix_rewriting_is_identity_without_agg_split(soccer_source):
-    ldg = ldg_for(soccer_source)
-    assert apply_suffix_rewriting(ldg) == ldg
-
-
-def test_suffix_rewriting_idempotent():
-    ldg = ldg_for(read_corpus("synthetic/gather.lila"))
-    assert apply_suffix_rewriting(ldg) == ldg
-
-
-def test_pre_rewrite_graph_keeps_raw_names():
-    program = parse(read_corpus("synthetic/splitter.lila"))
-    raw = build_ldg(program, rewrite_suffixes=False)
-    assert raw.node("split:1").produced == {"a", "b"}
-    rewritten = apply_suffix_rewriting(raw)
-    assert rewritten.node("split:1").produced == {"a-split", "b-split"}
-    assert ("split:1", "proc:keep") in rewritten.edges
 
 
 def test_upstream_reference_binds_before_aggregator():

@@ -169,6 +169,19 @@ def test_syntax_error_carries_position():
     assert err.value.line == 2
 
 
+def test_non_ground_inline_fact_reports_its_own_position():
+    source = (
+        "@from(file:x.json,json)\n{r(a).}\n"
+        "c(1).\n"
+        "p(x):-r(x),c(x).\n"
+        "% the offending fact follows\n"
+        "d(y).\n"
+        "@to(file:y.json,json)\n{p}"
+    )
+    with pytest.raises(LilaSyntaxError, match=r"^6:1: fact d\(y\) contains variables"):
+        parse(source)
+
+
 def test_placeholders_preserved_then_resolved():
     program = parse(read_corpus("soccer_events.lila"))
     twitter = [a for a in program.annotations if a.uri.startswith("twitter")][0]

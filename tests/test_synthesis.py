@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import networkx as nx
@@ -10,19 +11,18 @@ import pytest
 from lila.ldg import build_ldg, prune_unused
 from lila.parser import parse
 from lila.synthesis import (
+    PatternConfig,
+    RgNode,
+    Route,
     RouteGraph,
     SynthesisError,
     check_route_graph,
-    detect_join_router,
-    detect_multicast,
     export_rg_dot,
     rg_to_json,
     synthesize_routes,
-    transform_join_router,
-    transform_multicast,
 )
 
-from .conftest import SYNTHETIC, read_corpus
+from .conftest import CORPUS, GOLDENS, SYNTHETIC, read_corpus
 
 
 def rg_for(source: str) -> RouteGraph:
@@ -33,57 +33,105 @@ def route_kinds(rg: RouteGraph) -> list[list[str]]:
     return [[n.kind for n in r.nodes] for r in rg.routes]
 
 
-# --- detection ---------------------------------------------------------------
+def route_of(rg: RouteGraph, node: RgNode) -> Route:
+    return next(r for r in rg.routes if r.id == node.route_id)
+
+
+def neighbours(rg: RouteGraph, node: RgNode) -> tuple[RgNode, RgNode]:
+    """The nodes right before and right after ``node`` in its route."""
+    nodes = route_of(rg, node).nodes
+    i = nodes.index(node)
+    return nodes[i - 1], nodes[i + 1]
+
+
+# --- pattern sites, as synthesized -------------------------------------------
 
 
 def test_detect_join_router_on_soccer(soccer_source):
-    ldg = build_ldg(parse(soccer_source))
-    # raw detection counts the enricher edges: both consumers are join sites
-    assert detect_join_router(ldg) == ["proc:gByP", "proc:pAtB"]
+    rg = rg_for(soccer_source)
+    # the enricher feeds both consumers, but its edges make no join site:
+    # each consumer calls the enricher route right before its translator
+    assert rg.nodes_of_kind("joinAggregator") == []
+    translators = {n.config.exposed: n for n in rg.nodes_of_kind("translator")}
+    for exposed in (("gByP",), ("pAtB",)):
+        before, _ = neighbours(rg, translators[exposed])
+        assert before.kind == "enricherCall"
 
 
 def test_detect_join_router_on_extended(soccer_extended_source):
-    ldg = build_ldg(parse(soccer_extended_source))
-    assert "proc:posAtShotOnGoal" in detect_join_router(ldg)
+    rg = rg_for(soccer_extended_source)
+    [join] = rg.nodes_of_kind("joinAggregator")
+    route = route_of(rg, join)
+    assert route.entry.kind == "fromDirect"
+    assert route.nodes[1] == join
+    # both branches reach the join through multicasts, not through to-direct links
+    by_id = {n.id: n for n in rg.nodes}
+    feeders = [src for src, dst in rg.channel_references() if dst == route.entry.id]
+    assert len(feeders) == 2
+    assert all(by_id[f].kind == "multicast" for f in feeders)
+    assert rg.links == frozenset()
 
 
 def test_detect_join_router_linear_chain():
-    ldg = build_ldg(parse(read_corpus("synthetic/minimal.lila")))
-    assert detect_join_router(ldg) == []
+    rg = rg_for(read_corpus("synthetic/minimal.lila"))
+    assert rg.nodes_of_kind("joinAggregator") == []
+    assert rg.nodes_of_kind("fromDirect") == []
+    assert rg.links == frozenset()
+    assert rg.channel_references() == []
 
 
 def test_detect_multicast_on_soccer(soccer_source):
-    ldg = build_ldg(parse(soccer_source))
+    rg = rg_for(soccer_source)
     # enricher fan-out is not a multicast site
-    assert detect_multicast(ldg) == ["from:file:gameEvents.json"]
+    [multicast] = rg.nodes_of_kind("multicast")
+    route = route_of(rg, multicast)
+    assert route.entry.config.uri == "file:gameEvents.json"
+    assert route.nodes[-1] == multicast
+    assert multicast.config.targets == ("direct:br", "direct:g")
+    assert "direct:pInfo" in rg.channels()
 
 
 def test_detect_multicast_on_extended(soccer_extended_source):
-    ldg = build_ldg(parse(soccer_extended_source))
-    assert detect_multicast(ldg) == [
-        "from:file:gameEvents.json",
-        "from:file:playerPosition.json",
-        "proc:gByP",
+    rg = rg_for(soccer_extended_source)
+    hosts = []
+    for multicast in rg.nodes_of_kind("multicast"):
+        route = route_of(rg, multicast)
+        assert route.nodes[-1] == multicast
+        assert len(multicast.config.targets) == 2
+        assert set(multicast.config.targets) <= set(rg.channels())
+        host = route.entry if route.entry.kind == "fromEndpoint" else route.nodes[-2]
+        hosts.append(host.label())
+    assert sorted(hosts) == [
+        "from(file:gameEvents.json)",
+        "from(file:playerPosition.json)",
+        "translate[gByP]",
     ]
 
 
 def test_detect_multicast_linear_chain():
-    ldg = build_ldg(parse(read_corpus("synthetic/minimal.lila")))
-    assert detect_multicast(ldg) == []
+    for name in ("message_filter.lila", "content_filter.lila"):
+        rg = rg_for(read_corpus(name))
+        assert len(rg.routes) == 1
+        assert rg.nodes_of_kind("multicast") == []
 
 
-# --- transformation fragments ----------------------------------------------------
+def assert_join_site(rg: RouteGraph, in_degree: int) -> None:
+    """One join aggregator right after a from-direct, fed by in_degree to-directs."""
+    [join] = rg.nodes_of_kind("joinAggregator")
+    route = route_of(rg, join)
+    assert [n.kind for n in route.nodes[:2]] == ["fromDirect", "joinAggregator"]
+    assert join.config.completion_size == in_degree
+    assert join.config.num_msgs_to_agg == in_degree
+    assert join.config.strategy == "union"
+    by_id = {n.id: n for n in rg.nodes}
+    feeders = [by_id[src] for src, dst in rg.links if dst == route.entry.id]
+    assert len(feeders) == in_degree
+    assert all(f.kind == "toDirect" for f in feeders)
+    assert {f.config.channel for f in feeders} == {route.entry.config.channel}
 
 
 def test_transform_join_router_fragment_degree_two():
-    ldg = build_ldg(parse(read_corpus("synthetic/two_source_join.lila")))
-    fragment = transform_join_router(ldg, "proc:j")
-    kinds = [kind for kind, _ in fragment]
-    assert kinds == ["fromDirect", "joinAggregator", "toDirect", "toDirect"]
-    join_cfg = fragment[1][1]
-    assert join_cfg.completion_size == 2
-    assert join_cfg.num_msgs_to_agg == 2
-    assert join_cfg.strategy == "union"
+    assert_join_site(rg_for(read_corpus("synthetic/two_source_join.lila")), 2)
 
 
 def test_transform_join_router_fragment_degree_three():
@@ -94,23 +142,22 @@ def test_transform_join_router_fragment_degree_three():
         "j(k):-a(k),b(k),c(k).\n"
         "@to(file:o.json,json)\n{j}"
     )
-    ldg = build_ldg(parse(source))
-    fragment = transform_join_router(ldg, "proc:j")
-    assert fragment[1][1].completion_size == 3
-    assert [k for k, _ in fragment].count("toDirect") == 3
+    assert_join_site(rg_for(source), 3)
 
 
-def test_transform_join_router_rejects_linear_site():
-    ldg = build_ldg(parse(read_corpus("synthetic/minimal.lila")))
-    with pytest.raises(SynthesisError):
-        transform_join_router(ldg, "to:file:out.json")
+def multicast_target_routes(rg: RouteGraph, multicast: RgNode) -> list[Route]:
+    entries = {r.entry.id: r for r in rg.routes}
+    return [entries[dst] for src, dst in rg.channel_references() if src == multicast.id]
 
 
 def test_transform_multicast_fragment():
-    ldg = build_ldg(parse(read_corpus("synthetic/diamond.lila")))
-    fragment = transform_multicast(ldg, "from:file:in.json")
-    assert [k for k, _ in fragment] == ["multicast", "fromDirect", "fromDirect"]
-    assert fragment[0][1].targets == ("direct:a", "direct:b")
+    rg = rg_for(read_corpus("synthetic/diamond.lila"))
+    [multicast] = rg.nodes_of_kind("multicast")
+    assert multicast.config.targets == ("direct:a", "direct:b")
+    # each target heads its own route
+    targets = multicast_target_routes(rg, multicast)
+    assert [r.entry.kind for r in targets] == ["fromDirect", "fromDirect"]
+    assert tuple(r.entry.config.channel for r in targets) == multicast.config.targets
 
 
 def test_transform_multicast_four_targets():
@@ -119,15 +166,13 @@ def test_transform_multicast_four_targets():
         + "".join(f"o{i}(k):-r(k).\n" for i in range(4))
         + "@to(file:o.json,json)\n{o0\no1\no2\no3}"
     )
-    ldg = build_ldg(parse(source))
-    fragment = transform_multicast(ldg, "from:file:x.json")
-    assert len(fragment[0][1].targets) == 4
-
-
-def test_transform_multicast_rejects_linear_site():
-    ldg = build_ldg(parse(read_corpus("synthetic/minimal.lila")))
-    with pytest.raises(SynthesisError):
-        transform_multicast(ldg, "from:file:in.json")
+    rg = rg_for(source)
+    [multicast] = rg.nodes_of_kind("multicast")
+    assert len(multicast.config.targets) == 4
+    targets = multicast_target_routes(rg, multicast)
+    assert sorted(r.nodes[1].config.exposed for r in targets) == [
+        ("o0",), ("o1",), ("o2",), ("o3",),
+    ]
 
 
 # --- full synthesis ----------------------------------------------------------------
@@ -302,8 +347,8 @@ def test_confluence_of_disjoint_sites():
     def build_with(order):
         builder = _Builder(ldg, site_order=order)
         builder.expand_enrichers()
-        builder.transform_join_sites()
-        builder.transform_multicast_sites()
+        builder.insert_join_routers()
+        builder.insert_multicasts()
         rg = builder.assemble()
         check_route_graph(rg)
         return rg
@@ -352,39 +397,83 @@ def test_rg_json_document_shape(soccer_source):
     assert all(isinstance(e, list) and len(e) == 2 for e in doc["edges"])
 
 
-# --- enricher detect+transform -------------------------------------------------
+# --- enricher expansion ------------------------------------------------------
 
 
 def test_enricher_transform_shared_route_two_callers(soccer_source):
-    from lila.synthesis import detect_and_transform_enricher
-
-    ldg = build_ldg(parse(soccer_source))
-    routes, calls, warnings = detect_and_transform_enricher(ldg)
-    [(channel, fragment)] = routes
-    assert channel == "direct:pInfo"
-    assert [k for k, _ in fragment] == ["fromDirect", "enricherCall"]
-    assert fragment[1][1].uri == "playerInfo.json"
+    rg = rg_for(soccer_source)
+    [route] = [r for r in rg.routes if r.entry.config.channel == "direct:pInfo"]
+    assert [n.kind for n in route.nodes] == ["fromDirect", "enricherCall"]
+    assert route.nodes[1].config.uri == "playerInfo.json"
     # one call per consumer, both merging via the union strategy
-    assert sorted(host for host, _ in calls) == ["proc:gByP", "proc:pAtB"]
-    assert all(cfg.strategy == "union" and cfg.channel == channel for _, cfg in calls)
+    callers = [n for n in rg.nodes_of_kind("enricherCall") if n.config.channel]
+    assert all(c.config.strategy == "union" for c in callers)
+    assert sorted(neighbours(rg, c)[1].config.exposed for c in callers) == [("gByP",), ("pAtB",)]
+    assert sorted(src for src, dst in rg.channel_references() if dst == route.entry.id) == sorted(
+        c.id for c in callers
+    )
 
 
 def test_enricher_transform_after_producer():
-    from lila.synthesis import detect_and_transform_enricher
-
-    ldg = build_ldg(parse(read_corpus("synthetic/enrich_after_producer.lila")))
-    _, calls, _ = detect_and_transform_enricher(ldg)
-    assert [host for host, _ in calls] == ["proc:prod"]
+    rg = rg_for(read_corpus("synthetic/enrich_after_producer.lila"))
+    [call] = [n for n in rg.nodes_of_kind("enricherCall") if n.config.channel]
+    before, after = neighbours(rg, call)
+    assert before.config.exposed == ("prod",)
+    assert after.config.exposed == ("pick",)
 
 
 def test_enricher_transform_before_single_consumer():
-    from lila.synthesis import detect_and_transform_enricher
+    rg = rg_for(read_corpus("synthetic/enrich_single.lila"))
+    [call] = [n for n in rg.nodes_of_kind("enricherCall") if n.config.channel]
+    before, after = neighbours(rg, call)
+    assert before.kind == "formatConverter"
+    assert after.config.exposed == ("detail",)
 
-    ldg = build_ldg(parse(read_corpus("synthetic/enrich_single.lila")))
-    _, calls, _ = detect_and_transform_enricher(ldg)
-    assert [host for host, _ in calls] == ["proc:detail"]
+
+# --- route-graph goldens: one rg_to_json document per corpus program --------------
 
 
-def test_rg_json_golden_soccer(soccer_source, goldens):
-    doc = rg_to_json(rg_for(soccer_source))
-    assert doc == (goldens / "soccer_events_rg.json").read_text()
+CORPUS_PROGRAMS = sorted(
+    p.relative_to(CORPUS).with_suffix("").as_posix() for p in CORPUS.rglob("*.lila")
+)
+
+
+@pytest.mark.parametrize("name", CORPUS_PROGRAMS)
+def test_rg_json_golden(name):
+    doc = rg_to_json(rg_for((CORPUS / f"{name}.lila").read_text()))
+    assert doc == (GOLDENS / f"{name}_rg.json").read_text()
+
+
+# --- checks on hand-made graphs --------------------------------------------------
+
+
+def test_check_route_graph_rejects_undeclared_multicast_target():
+    rg = rg_for(read_corpus("synthetic/diamond.lila"))
+    routes = []
+    for route in rg.routes:
+        nodes = tuple(
+            dataclasses.replace(n, config=PatternConfig(targets=("direct:a", "direct:ghost")))
+            if n.kind == "multicast"
+            else n
+            for n in route.nodes
+        )
+        routes.append(Route(route.id, nodes))
+    with pytest.raises(SynthesisError, match="undeclared channel 'direct:ghost'"):
+        check_route_graph(RouteGraph(tuple(routes)))
+
+
+def test_check_route_graph_rejects_cycle():
+    # r1 feeds r2 and r2 feeds r1 back over direct channels
+    def route(route_id, consumes, sends):
+        return Route(
+            route_id,
+            (
+                RgNode(f"{route_id}n0", "fromDirect", route_id, PatternConfig(channel=consumes)),
+                RgNode(f"{route_id}n1", "toDirect", route_id, PatternConfig(channel=sends)),
+            ),
+        )
+
+    rg = RouteGraph((route("r1", "direct:a", "direct:b"), route("r2", "direct:b", "direct:a")))
+    assert rg.links == {("r1n1", "r2n0"), ("r2n1", "r1n0")}
+    with pytest.raises(SynthesisError, match="cycle"):
+        check_route_graph(rg)
