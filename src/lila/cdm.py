@@ -199,7 +199,7 @@ def to_cdm(payload: bytes, spec: FormatSpec) -> Message:
 
     One fact per record; undeclared fields are dropped; meta-facts for all
     declared relations are placed in the header. ``datalog`` payloads pass
-    through parsed, without projection.
+    through parsed, without projection; their facts must be ground.
     """
     meta = frozenset(m for d in spec.declared_relations for m in d.meta_facts())
     if spec.format == "datalog":
@@ -207,6 +207,9 @@ def to_cdm(payload: bytes, spec: FormatSpec) -> Message:
             body = parse_program(payload.decode("utf-8"))
         except Exception as exc:
             raise ConversionError(f"malformed datalog payload: {exc}") from exc
+        for fact in body.facts:
+            if not fact.is_ground():
+                raise ConversionError(f"datalog payload fact {fact} is not ground")
         return Message(MessageHeader(meta), body)
     if not spec.declared_relations:
         raise ConversionError(f"{spec.format} conversion requires declared relations")
@@ -299,25 +302,3 @@ def merge_meta(
                 f"{other!r} vs {m.parameter_name!r}"
             )
     return merged
-
-
-def validate_message(msg: Message) -> list[str]:
-    """Check the meta-fact completeness invariant; returns problem descriptions."""
-    problems = []
-    by_pred: dict[str, list[MetaFact]] = {}
-    for m in msg.header.meta_facts:
-        by_pred.setdefault(m.predicate, []).append(m)
-    for pred, metas in by_pred.items():
-        positions = sorted(m.position for m in metas)
-        if positions != list(range(1, len(metas) + 1)):
-            problems.append(f"meta-fact positions for '{pred}' are not contiguous 1..arity")
-        names = {m.parameter_name for m in metas}
-        if len(names) != len(metas):
-            problems.append(f"duplicate parameter names in meta-facts of '{pred}'")
-    for fact in msg.body.facts:
-        metas = by_pred.get(fact.predicate)
-        if metas and len(metas) != fact.arity:
-            problems.append(
-                f"fact {fact} has {fact.arity} argument(s) but {len(metas)} meta-fact(s)"
-            )
-    return problems

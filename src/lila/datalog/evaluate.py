@@ -519,12 +519,16 @@ def evaluate(
 def query(
     program: DatalogProgram, goal: Atom, max_iterations: int = DEFAULT_MAX_ITERATIONS
 ) -> frozenset[Atom]:
-    """Evaluate the program and return the facts unifying with ``goal``.
+    """Evaluate the program and return the facts unifying with ``goal``."""
+    return answers(evaluate(program, max_iterations), goal)
+
+
+def answers(facts: frozenset[Atom], goal: Atom) -> frozenset[Atom]:
+    """The facts unifying with ``goal``.
 
     Constants in the goal select; variables project (repeated variables must
     match equal values).
     """
-    facts = evaluate(program, max_iterations)
     return frozenset(
         f
         for f in facts

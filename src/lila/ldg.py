@@ -73,18 +73,6 @@ class Ldg:
     edges: frozenset[tuple[str, str]]
     warnings: tuple[Diagnostic, ...] = field(default=(), compare=False)
 
-    def node(self, node_id: str) -> LdgNode:
-        for node in self.nodes:
-            if node.id == node_id:
-                return node
-        raise KeyError(node_id)
-
-    def predecessors(self, node_id: str) -> list[str]:
-        return sorted(src for src, dst in self.edges if dst == node_id)
-
-    def in_degree(self, node_id: str) -> int:
-        return sum(1 for _, dst in self.edges if dst == node_id)
-
     def to_networkx(self) -> nx.DiGraph:
         graph = nx.DiGraph()
         graph.add_nodes_from(n.id for n in self.nodes)

@@ -26,7 +26,7 @@ from .datalog.ast import (
     Rule,
     Variable,
 )
-from .datalog.evaluate import evaluate, query
+from .datalog.evaluate import answers, evaluate
 
 logger = logging.getLogger(__name__)
 
@@ -79,11 +79,6 @@ class SplitConfig:
 class EnrichData:
     program: DatalogProgram
     meta_facts: frozenset[MetaFact] = frozenset()
-
-    def __post_init__(self):
-        for fact in self.program.facts:
-            if not fact.is_ground():
-                raise PatternConfigError(f"enrich data fact {fact} is not ground")
 
 
 def _references_meta(rules: tuple[Rule, ...], goals: tuple[Atom, ...]) -> bool:
@@ -145,40 +140,30 @@ def rename_predicates(message: Message, suffix: str) -> Message:
     )
 
 
-def split_messages(message: Message, split: SplitConfig) -> list[Message]:
-    """One leaving message per query with a non-empty result, names unchanged."""
-    out = []
-    for goal in split.split_queries:
-        program = _eval_program(message, (), (goal,))
-        result = query(program, goal)
-        if not result:
-            continue
-        predicates = {a.predicate for a in result}
-        meta = frozenset(
-            m for m in message.header.meta_facts if m.predicate in predicates
-        )
-        out.append(
-            Message(
-                MessageHeader(meta, message.header.properties),
-                DatalogProgram(frozenset(result)),
-            )
-        )
-    return out
+def _goal_answers(message: Message, goals: tuple[Atom, ...]) -> list[frozenset[Atom]]:
+    """Each goal's answers, from one evaluation of the message over all goals."""
+    facts = evaluate(_eval_program(message, (), goals))
+    return [answers(facts, goal) for goal in goals]
 
 
 def sc_ilp(message: Message, split: SplitConfig) -> list[Message]:
-    """Split condition: each query result leaves as a single message with the
-    ``-split`` suffix applied; header properties are copied to every part."""
-    return [rename_predicates(m, SPLIT_SUFFIX) for m in split_messages(message, split)]
+    """Split condition: each query with a non-empty result leaves as a single
+    message with the ``-split`` suffix applied; header properties are copied
+    to every part."""
+    out = []
+    for result in _goal_answers(message, split.split_queries):
+        if not result:
+            continue
+        predicates = {a.predicate for a in result}
+        meta = frozenset(m for m in message.header.meta_facts if m.predicate in predicates)
+        part = Message(MessageHeader(meta, message.header.properties), DatalogProgram(result))
+        out.append(rename_predicates(part, SPLIT_SUFFIX))
+    return out
 
 
 def crc_ilp(message: Message, cfg: AggregatorConfig) -> tuple[bool, ...]:
     """Correlation key: boolean vector of per-query non-emptiness."""
-    key = []
-    for goal in cfg.correlation_queries:
-        program = _eval_program(message, (), (goal,))
-        key.append(len(query(program, goal)) > 0)
-    return tuple(key)
+    return tuple(bool(result) for result in _goal_answers(message, cfg.correlation_queries))
 
 
 def cpc_ilp(collection: list[Message], cfg: AggregatorConfig, elapsed_ms: int) -> bool:

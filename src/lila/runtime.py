@@ -1,10 +1,13 @@
 """Execution engine for route graphs.
 
-Endpoints consume and produce payloads, direct channels carry exchanges
-between routes, and ILP pattern nodes process message content by calling
-the functions of ``lila.patterns``. The engine is one sequential worklist:
-an exchange runs through its route to the end before the next one starts,
-so the order of sink payloads is deterministic. The paper's parallelism
+Endpoints consume and produce payloads, and ILP pattern nodes process
+message content by calling the functions of ``lila.patterns``. The engine
+is one sequential worklist of (route, exchange, first node) entries: an
+exchange runs through its route to the end before the next entry starts,
+and a direct channel or multicast target hands its exchange to the
+consuming route by appending an entry, so the order of sink payloads is
+deterministic. Nodes update the exchange in place; only multicast targets,
+splitter parts and request/reply calls copy it. The paper's parallelism
 comes from partitioning the data, not from threads inside one engine.
 """
 
@@ -104,7 +107,6 @@ class RunOptions:
     capture_only: bool = False  # all sinks behave like mock sinks
     inject: tuple[Message, ...] = ()  # pre-built CDM messages, skip endpoints
     watch_poll_ms: int = 500
-    sweep_interval_ms: int = 100
     watch_duration_ms: int | None = None
 
 
@@ -140,25 +142,6 @@ class RunReport:
             "warnings": self.warnings,
         }
         return json.dumps(doc, indent=2, sort_keys=True)
-
-
-class DirectChannels:
-    """Named FIFO queues delivering each exchange exactly once."""
-
-    def __init__(self, names):
-        self._queues: dict[str, deque] = {name: deque() for name in names}
-
-    def _queue(self, name: str) -> deque:
-        if name not in self._queues:
-            raise WiringError(f"direct channel {name!r} is not declared")
-        return self._queues[name]
-
-    def send(self, name: str, exchange: Exchange) -> None:
-        self._queue(name).append(exchange)
-
-    def receive(self, name: str) -> Exchange | None:
-        queue = self._queue(name)
-        return queue.popleft() if queue else None
 
 
 class _Aggregation:
@@ -199,8 +182,8 @@ class Engine:
         self.options = options or RunOptions()
         self.routes = {r.id: r for r in rg.routes}
         self._channel_route = rg.channels()
-        self.channels = DirectChannels(self._channel_route)
         self.mock_sinks: dict[str, list[bytes]] = {}
+        # delivered facts per captured sink (mock, or every sink with capture_only)
         self.sink_facts: dict[str, list[frozenset]] = {}
         self._agg: dict[str, _Aggregation] = {
             node.id: _Aggregation(node, position)
@@ -216,26 +199,21 @@ class Engine:
         self._trace_seq = 0
         self._sink_seq: dict[str, int] = {}
         self._sink_targets: dict[str, Path] = {}
-        self._wired()
+        self._uris = self._wired()
 
     # -- wiring ---------------------------------------------------------------
 
-    def _wired(self) -> None:
+    def _wired(self) -> dict[str, EndpointUri]:
+        """Check the channels and parse every endpoint URI once, by node id."""
         try:
             check_channels(self.rg)
         except SynthesisError as exc:
             raise WiringError(str(exc)) from exc
-        for node in self.rg.nodes:
-            if node.kind in ("fromEndpoint", "toEndpoint"):
-                EndpointUri.parse(node.config.uri)  # raises on malformed URIs
-
-    # -- public channel operations ---------------------------------------------
-
-    def send_direct(self, channel: str, exchange: Exchange) -> None:
-        self.channels.send(channel, exchange)
-
-    def receive_direct(self, channel: str) -> Exchange | None:
-        return self.channels.receive(channel)
+        return {
+            node.id: EndpointUri.parse(node.config.uri)  # raises on malformed URIs
+            for node in self.rg.nodes
+            if node.kind in ("fromEndpoint", "toEndpoint")
+        }
 
     def mock_sink(self, name: str) -> list[bytes]:
         """Captured payloads of a mock sink in arrival order."""
@@ -249,11 +227,8 @@ class Engine:
         )
         counters[key] += amount
 
-    def _count(self, key: str, amount: int = 1) -> None:
-        setattr(self.report, key, getattr(self.report, key) + amount)
-
     def _drop(self, node_id: str, amount: int = 1) -> None:
-        self._count("dropped", amount)
+        self.report.dropped += amount
         self._count_node(node_id, "dropped", amount)
 
     def _next_trace(self) -> str:
@@ -274,7 +249,7 @@ class Engine:
         return target
 
     def _dead_letter(self, exchange: Exchange, node_id: str, error: Exception) -> None:
-        self._count("errored")
+        self.report.errored += 1
         self._count_node(node_id, "errored")
         failure = f"{type(error).__name__}: {error}"
         logger.warning("exchange %s failed at %s: %s", exchange.trace_id, node_id, failure)
@@ -316,38 +291,34 @@ class Engine:
         return [exchange]
 
     def _node_toDirect(self, node: RgNode, exchange: Exchange) -> list[Exchange]:
-        self.send_direct(node.config.channel, exchange)
-        self._schedule_channel(node.config.channel)
+        # the consuming route resumes after its fromDirect entry; _wired has
+        # checked that every referenced channel has one
+        self._work.append((self._channel_route[node.config.channel], exchange, 1))
         return []
 
     def _node_multicast(self, node: RgNode, exchange: Exchange) -> list[Exchange]:
-        self._count("replicated", len(node.config.targets) - 1)
+        self.report.replicated += len(node.config.targets) - 1
         for target in node.config.targets:
-            self.send_direct(target, exchange.fork())
-            self._schedule_channel(target)
+            self._work.append((self._channel_route[target], exchange.fork(), 1))
         return []
 
     def _convert_in(self, exchange: Exchange, fmt: str, relations) -> list[Exchange]:
         if exchange.raw is None:
             raise EndpointError("no payload to convert")
-        converted = exchange.fork(to_cdm(exchange.raw, FormatSpec(fmt, relations)))
-        converted.raw = None
-        return [converted]
+        exchange.message = to_cdm(exchange.raw, FormatSpec(fmt, relations))
+        exchange.raw = None
+        return [exchange]
 
     def _node_formatConverter(self, node: RgNode, exchange: Exchange) -> list[Exchange]:
         cfg = node.config
         if cfg.direction == "in":
             return self._convert_in(exchange, cfg.format, cfg.relations)
-        payload = from_cdm(
-            exchange.message, FormatSpec(cfg.format), list(cfg.exposed)
-        )
-        out = exchange.fork()
-        out.raw = payload
-        return [out]
+        exchange.raw = from_cdm(exchange.message, FormatSpec(cfg.format), list(cfg.exposed))
+        return [exchange]
 
     def _node_contentFilter(self, node: RgNode, exchange: Exchange) -> list[Exchange]:
-        message = mt_ilp(exchange.message, node.config.rules, list(node.config.exposed))
-        return [exchange.fork(message)]
+        exchange.message = mt_ilp(exchange.message, node.config.rules, list(node.config.exposed))
+        return [exchange]
 
     _node_translator = _node_contentFilter
 
@@ -364,25 +335,24 @@ class Engine:
         if not parts:
             self._drop(node.id)
             return []
-        self._count("replicated", len(parts) - 1)
+        self.report.replicated += len(parts) - 1
         return [exchange.fork(part) for part in parts]
 
     def _node_enricherCall(self, node: RgNode, exchange: Exchange) -> list[Exchange]:
         cfg = node.config
         if cfg.channel:
             reply = self._call_channel(cfg.channel, exchange)
-            merged = merge_messages([exchange.message, reply.message])
-            return [exchange.fork(merged)]
-        if cfg.uri:
-            payload = self._read_bytes(cfg.uri)
-            data = to_cdm(payload, FormatSpec(cfg.format, cfg.relations))
-            enriched = ep_ilp(
+            exchange.message = merge_messages([exchange.message, reply.message])
+        elif cfg.uri:
+            data = to_cdm(self._read_bytes(cfg.uri), FormatSpec(cfg.format, cfg.relations))
+            exchange.message = ep_ilp(
                 exchange.message, EnrichData(data.body, data.header.meta_facts)
             )
-            return [exchange.fork(enriched)]
-        program = DatalogProgram(frozenset(cfg.facts))
-        enriched = ep_ilp(exchange.message, EnrichData(program))
-        return [exchange.fork(enriched)]
+        else:
+            exchange.message = ep_ilp(
+                exchange.message, EnrichData(DatalogProgram(frozenset(cfg.facts)))
+            )
+        return [exchange]
 
     def _aggregate(self, node: RgNode, exchange: Exchange) -> list[Exchange]:
         agg = self._agg[node.id]
@@ -405,26 +375,27 @@ class Engine:
 
     def _emit_aggregate(self, node: RgNode, first: Exchange, messages: list[Message]) -> Exchange:
         # an aggregator's output predicates carry the -aggregate suffix; a join's do not
-        self._count("merged", len(messages) - 1)
+        self.report.merged += len(messages) - 1
         combine = as_ilp if node.kind == "aggregator" else merge_messages
-        return first.fork(combine(messages))
+        first.message = combine(messages)
+        return first
 
     def _node_toEndpoint(self, node: RgNode, exchange: Exchange) -> list[Exchange]:
         cfg = node.config
         payload = exchange.raw
         if payload is None:
             payload = from_cdm(exchange.message, FormatSpec("datalog"), list(cfg.exposed))
-        uri = EndpointUri.parse(cfg.uri)
-        exposed = set(cfg.exposed)
-        facts = frozenset(a for a in exchange.message.body.facts if a.predicate in exposed)
-        self.sink_facts.setdefault(cfg.uri, []).append(facts)
+        uri = self._uris[node.id]
         if uri.scheme == "mock" or self.options.capture_only:
+            exposed = set(cfg.exposed)
+            facts = frozenset(a for a in exchange.message.body.facts if a.predicate in exposed)
+            self.sink_facts.setdefault(cfg.uri, []).append(facts)
             self.mock_sinks.setdefault(cfg.uri, []).append(payload)
         elif uri.scheme == "file":
             self._write_sink_file(uri.path, cfg.format, payload)
         else:
             raise EndpointError(f"cannot produce to {cfg.uri!r}")
-        self._count("produced")
+        self.report.produced += 1
         self._count_node(node.id, "produced")
         self.report.per_sink[cfg.uri] = self.report.per_sink.get(cfg.uri, 0) + 1
         return []
@@ -460,7 +431,7 @@ class Engine:
 
     def _source_files(self, node: RgNode) -> list[Path]:
         """The files behind a source endpoint: one file, or a directory's files."""
-        uri = EndpointUri.parse(node.config.uri)
+        uri = self._uris[node.id]
         if uri.scheme != "file":
             raise EndpointError(f"cannot consume from {node.config.uri!r}")
         target = self._resolve(uri.path)
@@ -514,7 +485,7 @@ class Engine:
                 if payload is None:
                     continue
                 for part in self._split(source, payload):
-                    self._count("consumed")
+                    self.report.consumed += 1
                     self._work.append((route.id, Exchange(Message(), self._next_trace(), part), 0))
             self._watched[route.id] = current
 
@@ -528,7 +499,7 @@ class Engine:
         while start < len(route.nodes) and route.nodes[start].kind == "formatConverter":
             start += 1
         for message in self.options.inject:
-            self._count("consumed")
+            self.report.consumed += 1
             self._work.append((route.id, Exchange(message, self._next_trace()), start))
 
     # -- execution ---------------------------------------------------------------------
@@ -564,19 +535,6 @@ class Engine:
                 f"request/reply on {channel!r} returned {len(results)} exchanges"
             )
         return results[0]
-
-    def _schedule_channel(self, channel: str) -> None:
-        """Move pending channel exchanges onto the worklist."""
-        route_id = self._channel_route.get(channel)
-        if route_id is None:
-            raise WiringError(f"direct channel {channel!r} has no consuming route")
-        if self.routes[route_id].entry.kind != "fromDirect":
-            return
-        while True:
-            exchange = self.channels.receive(channel)
-            if exchange is None:
-                return
-            self._work.append((route_id, exchange, 1))  # skip the fromDirect entry
 
     def _flush_aggregations(self, force: bool) -> int:
         """Emit the complete collections; with force, every time-based one.
@@ -636,19 +594,17 @@ class Engine:
 
     def run_watch(self, stop: threading.Event | None = None) -> RunReport:
         """Poll sources for new or rewritten files until stopped or the watch
-        duration ends; sweeps time-based aggregations between polls."""
+        duration ends; after each poll, emit the aggregations that completed,
+        time-based ones included, even when no new message arrived."""
         started = time.monotonic()
         stop = stop or threading.Event()
         duration_ms = self.options.watch_duration_ms
         deadline = started + duration_ms / 1000 if duration_ms else None
-        last_sweep = started
         while not stop.is_set() and not (deadline and time.monotonic() >= deadline):
             self._poll_sources()
             self._drain()
-            if (time.monotonic() - last_sweep) * 1000 >= self.options.sweep_interval_ms:
-                self._flush_aggregations(force=False)
-                self._drain()
-                last_sweep = time.monotonic()
+            self._flush_aggregations(force=False)
+            self._drain()
             stop.wait(self.options.watch_poll_ms / 1000)
         return self._finish(started)
 

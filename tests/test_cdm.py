@@ -18,7 +18,6 @@ from lila.cdm import (
     from_cdm,
     message,
     to_cdm,
-    validate_message,
 )
 from lila.datalog import Atom, NumberConst, StringConst
 
@@ -144,9 +143,17 @@ def test_from_cdm_missing_meta_is_error():
         from_cdm(msg, FormatSpec("json"), ["match"])
 
 
+def test_non_ground_datalog_fact_is_conversion_error():
+    # a variable in a payload fact would otherwise pass through as data
+    with pytest.raises(ConversionError, match="not ground"):
+        to_cdm(b"match(x).", FormatSpec("datalog"))
+    # rules may use variables; only facts must be ground
+    msg = to_cdm(b'match("x"). out(m):-match(m).', FormatSpec("datalog"))
+    assert atoms(msg.body) == {'match("x")'}
+
+
 def test_meta_fact_completeness():
     msg = to_cdm(b'[{"matching":"true","count":2}]', FormatSpec("json", (MATCH_2,)))
-    assert validate_message(msg) == []
     # every predicate produced by to_cdm has exactly arity-many meta-facts
     for fact in msg.body.facts:
         assert len(msg.header.param_names(fact.predicate)) == fact.arity

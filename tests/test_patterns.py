@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -100,6 +102,28 @@ def test_splitter_copies_header_properties():
     assert body_strs(part) == {"a-split(1)", "a-split(2)"}
     assert part.header.properties == (("k", "v"),)
     assert part.header.param_names("a-split") == ("v",)  # meta renamed with the body
+
+
+def test_split_and_correlation_evaluate_the_message_once(monkeypatch):
+    # one evaluation answers every query of a splitter or a correlation
+    import lila.patterns
+
+    evaluator = importlib.import_module("lila.datalog.evaluate")
+    original = evaluator.evaluate
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lila.patterns, "evaluate", counting)
+    monkeypatch.setattr(evaluator, "evaluate", counting)
+    queries = (fact("a(x)"), fact("b(x)"))
+    assert len(sc_ilp(msg("a(1)", "b(2)"), SplitConfig(queries))) == 2
+    assert len(calls) == 1
+    cfg = AggregatorConfig(completion_size=2, correlation_queries=queries)
+    assert crc_ilp(msg("a(1)"), cfg) == (True, False)
+    assert len(calls) == 2
 
 
 # --- aggregator -------------------------------------------------------------------

@@ -13,10 +13,8 @@ from lila import compile_source
 from lila.cdm import message
 from lila.datalog import parse_atom, parse_rule
 from lila.runtime import (
-    DirectChannels,
     EndpointUri,
     Engine,
-    Exchange,
     RunOptions,
     WiringError,
     run,
@@ -58,29 +56,6 @@ def test_bare_filename_is_file_scheme():
 # --- direct channels -----------------------------------------------------------
 
 
-def test_send_then_receive_same_body():
-    channels = DirectChannels(["direct:x"])
-    ex = Exchange(message(facts={parse_atom("a(1)")}), "t1")
-    channels.send("direct:x", ex)
-    received = channels.receive("direct:x")
-    assert received.message.body == ex.message.body
-
-
-def test_fifo_order_two_senders():
-    channels = DirectChannels(["direct:x"])
-    for i in range(4):
-        channels.send("direct:x", Exchange(message(), f"t{i}"))
-    order = [channels.receive("direct:x").trace_id for _ in range(4)]
-    assert order == ["t0", "t1", "t2", "t3"]
-    assert channels.receive("direct:x") is None
-
-
-def test_undeclared_channel_is_wiring_error():
-    channels = DirectChannels(["direct:x"])
-    with pytest.raises(WiringError):
-        channels.send("direct:y", Exchange(message(), "t1"))
-
-
 def test_engine_rejects_reference_to_undeclared_channel(tmp_path):
     import dataclasses
 
@@ -98,6 +73,22 @@ def test_engine_rejects_reference_to_undeclared_channel(tmp_path):
     bad = dataclasses.replace(rg, routes=tuple(bad_routes))
     with pytest.raises(WiringError, match="ghost"):
         Engine(bad, RunOptions(base_dir=tmp_path))
+
+
+def test_direct_channels_deliver_in_source_order(tmp_path, soccer_source):
+    write_soccer_fixtures(tmp_path)
+    goals = [(10, 7), (20, 9), (30, 7)]
+    (tmp_path / "gameEvents.json").write_text(json.dumps([
+        {"period": 1, "time": t, "eventCode": "Goal", "pId": p} for t, p in goals
+    ]))
+    engine = engine_for(
+        soccer_source, tmp_path, {"config": "playerFeed"}, split_elements=True
+    )
+    report = engine.run_batch()
+    tweets = [json.loads(t) for t in engine.mock_sink("twitter:playerFeed")]
+    assert [[row["time"] for row in tweet] for tweet in tweets] == [[10], [20], [30]]
+    assert (report.consumed, report.produced, report.dropped) == (3, 3, 3)
+    assert report.conserved()
 
 
 # --- soccer scenario end to end ---------------------------------------------------
@@ -222,13 +213,22 @@ def test_join_completion_size_exactness(tmp_path):
 
 def test_splitter_gather_double_suffix(tmp_path):
     (tmp_path / "in.dl").write_text("a(1). b(2).")
-    engine = engine_for(read_corpus("synthetic/gather.lila"), tmp_path)
+    engine = engine_for(read_corpus("synthetic/gather.lila"), tmp_path, capture_only=True)
     engine.run_batch()
     collected = set()
     for bucket in engine.sink_facts.values():
         for facts in bucket:
             collected |= {str(a) for a in facts}
     assert collected == {"a-split-aggregate(1)", "b-split-aggregate(2)"}
+
+
+def test_file_sinks_keep_no_delivered_facts(tmp_path):
+    # only captured sinks keep their facts, so a file sink's state stays bounded
+    (tmp_path / "in.dl").write_text("a(1). b(2).")
+    engine = engine_for(read_corpus("synthetic/gather.lila"), tmp_path)
+    report = engine.run_batch()
+    assert report.produced == 2
+    assert engine.sink_facts == {}
 
 
 def test_time_based_aggregation_flushes_in_batch(tmp_path):
@@ -318,6 +318,25 @@ def test_dead_letter_without_a_file_is_reported_as_a_warning():
     assert "t000001" in warning and "division by zero" in warning
     [filter_node] = engine.rg.nodes_of_kind("contentFilter")
     assert filter_node.id in warning
+    assert report.conserved()
+
+
+def test_non_ground_datalog_payload_goes_to_dead_letter(tmp_path):
+    # a variable in a payload fact is not data: the exchange is dead-lettered
+    source = (
+        "@from(file:inbox,datalog)\n{match(m).}\n"
+        "out(m):-match(m).\n"
+        "@to(file:out.dl,datalog)\n{out}"
+    )
+    inbox = tmp_path / "inbox"
+    inbox.mkdir()
+    (inbox / "0.dl").write_text("match(x).")
+    engine = engine_for(source, tmp_path)
+    report = engine.run_batch()
+    assert (report.consumed, report.errored, report.produced) == (1, 1, 0)
+    assert not (tmp_path / "out.dl").exists()
+    [dead] = (tmp_path / ".deadletter").glob("*.json")
+    assert "not ground" in json.loads(dead.read_text())["error"]
     assert report.conserved()
 
 
@@ -498,15 +517,16 @@ def test_watch_sweep_completes_time_aggregation_without_new_message(tmp_path):
     (tmp_path / "events.dl").write_text("ev(1).")
     engine = engine_for(
         read_corpus("synthetic/aggregate_time.lila"), tmp_path,
-        capture_only=True, watch_poll_ms=20, sweep_interval_ms=50,
+        capture_only=True, watch_poll_ms=20,
     )
     stop = threading.Event()
     worker = threading.Thread(target=engine.run_watch, args=(stop,))
     worker.start()
     deadline = time.monotonic() + 5
     try:
-        # completionTime is 200 ms; the periodic sweep must emit the aggregate
-        # while the watch loop is still running, without a triggering message
+        # completionTime is 200 ms; the sweep after a poll must emit the
+        # aggregate while the watch loop is still running, without a triggering
+        # message
         while time.monotonic() < deadline and engine.report.produced == 0:
             time.sleep(0.05)
         assert engine.report.produced == 1
@@ -514,18 +534,6 @@ def test_watch_sweep_completes_time_aggregation_without_new_message(tmp_path):
         stop.set()
         worker.join(timeout=5)
     assert not worker.is_alive()
-
-
-def test_engine_send_and_receive_direct(tmp_path, soccer_source):
-    write_soccer_fixtures(tmp_path)
-    engine = engine_for(soccer_source, tmp_path, {"config": "playerFeed"})
-    ex = Exchange(message(facts={parse_atom("g(1,10,7)")}), "t-manual")
-    engine.send_direct("direct:g", ex)
-    received = engine.receive_direct("direct:g")
-    assert received.message.body == ex.message.body
-    assert engine.receive_direct("direct:g") is None
-    with pytest.raises(WiringError):
-        engine.send_direct("direct:ghost", ex)
 
 
 def test_source_endpoint_counters_are_symmetric(tmp_path, soccer_source):
