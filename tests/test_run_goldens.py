@@ -114,6 +114,25 @@ def _divide_by_zero(base: Path):
     return source, None, {}
 
 
+def _splitter(base: Path, payloads: list[str]):
+    source = (
+        "@from(file:inbox,datalog)\n{a(v). b(v).}\n"
+        "@split()\n{?-a(v). ?-b(v).}\n"
+        "out(y):-a-split(v),y:=10/v.\nout(y):-b-split(v),y:=10/v.\n"
+        "@to(file:out.dl,datalog)\n{out}"
+    )
+    inbox = base / "inbox"
+    inbox.mkdir()
+    for seq, text in enumerate(payloads, 1):
+        (inbox / f"{seq}.dl").write_text(text)
+    return source, None, {}
+
+
+def _splitter_order(base: Path):
+    # every part of every payload reaches the sink, in payload then part order
+    return _splitter(base, ["a(1). b(2).", "a(5). b(10).", "a(2). b(1)."])
+
+
 SCENARIOS = {
     "soccer_events": _soccer,
     "soccer_events_split": _soccer_split,
@@ -125,6 +144,7 @@ SCENARIOS = {
     "aggregate_query_vector": _aggregate_query_vector,
     "message_filter_malformed": _message_filter_malformed,
     "divide_by_zero": _divide_by_zero,
+    "splitter_order": _splitter_order,
 }
 
 
@@ -162,3 +182,13 @@ def run_scenario(name: str, base: Path) -> str:
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_run_golden(name, tmp_path):
     assert run_scenario(name, tmp_path) == (RUN_GOLDENS / f"{name}.json").read_text()
+
+
+if __name__ == "__main__":
+    # python -m tests.test_run_goldens NAME...: write the goldens of the named scenarios
+    import sys
+    import tempfile
+
+    for name in sys.argv[1:]:
+        with tempfile.TemporaryDirectory() as tmp:
+            (RUN_GOLDENS / f"{name}.json").write_text(run_scenario(name, Path(tmp)))
