@@ -256,8 +256,9 @@ def from_cdm(message: Message, spec: FormatSpec, exposed_predicates: list[str]) 
     deterministic atom sort.
     """
     if spec.format == "datalog":
-        facts = [f for p in exposed_predicates for f in message.facts_of(p)]
-        text = "\n".join(f"{a}." for a in sorted(facts, key=atom_sort_key))
+        exposed = set(exposed_predicates)
+        facts = sorted((a for a in message.body.facts if a.predicate in exposed), key=atom_sort_key)
+        text = "\n".join(f"{a}." for a in facts)
         return (text + "\n" if text else "").encode("utf-8")
     for predicate in exposed_predicates:
         if message.facts_of(predicate) and not message.header.param_names(predicate):
@@ -293,7 +294,7 @@ def merge_meta(
     """Union meta-facts, rejecting conflicting parameter naming per predicate."""
     merged = left | right
     by_key: dict[tuple[str, int], str] = {}
-    for m in merged:
+    for m in sorted(merged, key=lambda m: (m.predicate, m.position, m.parameter_name)):
         key = (m.predicate, m.position)
         other = by_key.setdefault(key, m.parameter_name)
         if other != m.parameter_name:

@@ -91,7 +91,8 @@ def _emit(text: str, out_path: str | None, stdout) -> None:
         stdout.write(text)
 
 
-def cmd_graph(args, stdout, stderr) -> int:
+def _render(args, stdout, stderr, render) -> int:
+    """Load and check the program, then write ``render`` of its pruned LDG."""
     program, status = _load_program(args, stderr)
     if program is None:
         return status
@@ -99,28 +100,22 @@ def cmd_graph(args, stdout, stderr) -> int:
     if ldg is None:
         return EXIT_FAIL
     try:
-        text = export_ldg_dot(ldg) if args.ldg else export_rg_dot(synthesize_routes(ldg))
+        text = render(ldg)
     except (LdgError, SynthesisError) as exc:
         print(f"error: {exc}", file=stderr)
         return EXIT_FAIL
     _emit(text, args.out, stdout)
     return EXIT_OK
+
+
+def cmd_graph(args, stdout, stderr) -> int:
+    if args.ldg:
+        return _render(args, stdout, stderr, export_ldg_dot)
+    return _render(args, stdout, stderr, lambda ldg: export_rg_dot(synthesize_routes(ldg)))
 
 
 def cmd_compile(args, stdout, stderr) -> int:
-    program, status = _load_program(args, stderr)
-    if program is None:
-        return status
-    ldg = _check(program, stderr)
-    if ldg is None:
-        return EXIT_FAIL
-    try:
-        text = rg_to_json(synthesize_routes(ldg))
-    except (LdgError, SynthesisError) as exc:
-        print(f"error: {exc}", file=stderr)
-        return EXIT_FAIL
-    _emit(text, args.out, stdout)
-    return EXIT_OK
+    return _render(args, stdout, stderr, lambda ldg: rg_to_json(synthesize_routes(ldg)))
 
 
 def cmd_run(args, stdout, stderr) -> int:

@@ -259,9 +259,9 @@ def _number(text: str) -> NumberConst:
     return NumberConst(float(text) if "." in text else int(text))
 
 
-def parse_program(text: str, line: int = 1, col: int = 1) -> DatalogProgram:
+def parse_program(text: str) -> DatalogProgram:
     """Parse a full textual Datalog program (facts, rules, queries)."""
-    parser = _Parser(tokenize(text, line, col))
+    parser = _Parser(tokenize(text))
     facts: list[Atom] = []
     rules: list[Rule] = []
     queries: list[Atom] = []

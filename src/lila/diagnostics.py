@@ -20,7 +20,3 @@ class Diagnostic:
 
 def errors(diags: list[Diagnostic]) -> list[Diagnostic]:
     return [d for d in diags if d.severity == "error"]
-
-
-def warnings(diags: list[Diagnostic]) -> list[Diagnostic]:
-    return [d for d in diags if d.severity == "warning"]

@@ -15,6 +15,7 @@ from .diagnostics import Diagnostic
 from .cdm import RelationDecl
 from .datalog.ast import Atom, Rule, Variable
 from .datalog.parser import DatalogSyntaxError, tokenize, _Parser
+from .patterns import AGGREGATE_SUFFIX, SPLIT_SUFFIX
 
 ANNOTATION_NAMES = ("from", "to", "enrich", "aggregate", "split")
 
@@ -395,9 +396,9 @@ def produced_predicates(program: LilaProgram) -> set[str]:
         if ann.name in ("from", "enrich"):
             produced |= {d.predicate for d in ann.declarations}
         elif ann.name == "aggregate":
-            produced |= {q.predicate + "-aggregate" for q in ann.queries}
+            produced |= {q.predicate + AGGREGATE_SUFFIX for q in ann.queries}
         elif ann.name == "split":
-            produced |= {q.predicate + "-split" for q in ann.queries}
+            produced |= {q.predicate + SPLIT_SUFFIX for q in ann.queries}
     return produced
 
 

@@ -5,8 +5,8 @@ mappings, strategies) and delegates the content decision to Datalog
 evaluation. These are the functions the runtime's route-graph nodes call,
 one per semantic: ``mt_ilp`` (content filter, translator), ``sc_ilp``
 (splitter), ``crc_ilp``/``cpc_ilp``/``as_ilp`` (aggregator correlation,
-completion and strategy), ``merge_messages`` (join aggregator, enricher
-reply) and ``ep_ilp`` (enricher). Every operation is pure; aggregator
+completion and strategy), ``merge_messages`` (join aggregator) and
+``ep_ilp`` (enricher). Every operation is pure; aggregator
 collections live in the runtime. The drop-empty message filter is a
 predicate check in the runtime's ``messageFilter`` node.
 """

@@ -2,11 +2,12 @@
 
 Endpoints consume and produce payloads, and ILP pattern nodes process
 message content by calling the functions of ``lila.patterns``. The engine
-is one sequential worklist of (route, exchange, first node) entries: an
-exchange runs through its route to the end before the next entry starts,
-and a direct channel or multicast target hands its exchange to the
-consuming route by appending an entry, so the order of sink payloads is
-deterministic. Nodes update the exchange in place; only multicast targets,
+is one sequential worklist of (route, exchange, first node) entries; each
+step drives one exchange through its route until a node stops it. Fan-out
+goes only through the worklist: a direct channel or multicast target appends
+an entry for the consuming route, and a splitter pushes its parts onto the
+front, so each part finishes its route first and the order of sink payloads
+is deterministic. Nodes update the exchange in place; only multicast targets,
 splitter parts and request/reply calls copy it. The paper's parallelism
 comes from partitioning the data, not from threads inside one engine.
 """
@@ -151,10 +152,9 @@ class _Aggregation:
     trace the aggregate continues), its arrival time and the messages so far.
     """
 
-    def __init__(self, node: RgNode, position: int):
+    def __init__(self, node: RgNode):
         cfg = node.config
         self.node = node
-        self.position = position  # index of the node in its route
         self.config = AggregatorConfig(
             strategy=cfg.strategy or "union",
             completion_size=cfg.completion_size,
@@ -185,12 +185,10 @@ class Engine:
         self.mock_sinks: dict[str, list[bytes]] = {}
         # delivered facts per captured sink (mock, or every sink with capture_only)
         self.sink_facts: dict[str, list[frozenset]] = {}
-        self._agg: dict[str, _Aggregation] = {
-            node.id: _Aggregation(node, position)
-            for route in rg.routes
-            for position, node in enumerate(route.nodes)
-            if node.kind in ("aggregator", "joinAggregator")
-        }
+        # per node: the index of the node after it in its route
+        self._next_index = {n.id: i + 1 for r in rg.routes for i, n in enumerate(r.nodes)}
+        aggregators = ("aggregator", "joinAggregator")
+        self._agg = {n.id: _Aggregation(n) for n in rg.nodes if n.kind in aggregators}
         self.report = RunReport(warnings=[str(w) for w in rg.warnings])
         # (route id, exchange, index of the first node to run)
         self._work: deque[tuple[str, Exchange, int]] = deque()
@@ -265,84 +263,91 @@ class Engine:
             try:
                 dead_dir = self._resolve(".deadletter")
                 dead_dir.mkdir(parents=True, exist_ok=True)
-                (dead_dir / f"{exchange.trace_id}.json").write_text(json.dumps(doc, indent=2))
+                # forked copies share a trace id: number them like file sink outputs
+                target, seq = dead_dir / f"{exchange.trace_id}.json", 1
+                while target.exists():
+                    seq += 1
+                    target = dead_dir / f"{exchange.trace_id}-{seq}.json"
+                target.write_text(json.dumps(doc, indent=2))
                 return
             except OSError as exc:  # never let dead-letter IO kill the engine
                 logger.error("dead-letter write failed: %s", exc)
         self.report.warnings.append(
-            f"exchange {exchange.trace_id} failed at {node_id} "
-            f"(no dead-letter file): {failure}"
+            f"exchange {exchange.trace_id} failed at {node_id} (no dead-letter file): {failure}"
         )
 
     # -- node handlers ----------------------------------------------------------------
 
-    def _handle(self, node: RgNode, exchange: Exchange) -> list[Exchange]:
+    def _handle(self, node: RgNode, exchange: Exchange) -> Exchange | None:
+        """Run one node; returns the exchange, or None where it stops."""
         exchange.hop(node.id)
-        handler = getattr(self, "_node_" + node.kind)
-        return handler(node, exchange)
+        return getattr(self, "_node_" + node.kind)(node, exchange)
 
-    def _node_fromDirect(self, node: RgNode, exchange: Exchange) -> list[Exchange]:
-        return [exchange]
+    def _node_fromDirect(self, node: RgNode, exchange: Exchange) -> Exchange | None:
+        return exchange
 
-    def _node_fromEndpoint(self, node: RgNode, exchange: Exchange) -> list[Exchange]:
+    def _node_fromEndpoint(self, node: RgNode, exchange: Exchange) -> Exchange | None:
         # datalog sources have no format converter: their entry parses the payload
         if node.config.format == "datalog":
             return self._convert_in(exchange, "datalog", node.config.relations)
-        return [exchange]
+        return exchange
 
-    def _node_toDirect(self, node: RgNode, exchange: Exchange) -> list[Exchange]:
-        # the consuming route resumes after its fromDirect entry; _wired has
-        # checked that every referenced channel has one
+    def _node_toDirect(self, node: RgNode, exchange: Exchange) -> Exchange | None:
+        # the consuming route resumes after its fromDirect entry (checked by _wired)
         self._work.append((self._channel_route[node.config.channel], exchange, 1))
-        return []
+        return None
 
-    def _node_multicast(self, node: RgNode, exchange: Exchange) -> list[Exchange]:
+    def _node_multicast(self, node: RgNode, exchange: Exchange) -> Exchange | None:
         self.report.replicated += len(node.config.targets) - 1
         for target in node.config.targets:
             self._work.append((self._channel_route[target], exchange.fork(), 1))
-        return []
+        return None
 
-    def _convert_in(self, exchange: Exchange, fmt: str, relations) -> list[Exchange]:
+    def _convert_in(self, exchange: Exchange, fmt: str, relations) -> Exchange:
         if exchange.raw is None:
             raise EndpointError("no payload to convert")
         exchange.message = to_cdm(exchange.raw, FormatSpec(fmt, relations))
         exchange.raw = None
-        return [exchange]
+        return exchange
 
-    def _node_formatConverter(self, node: RgNode, exchange: Exchange) -> list[Exchange]:
+    def _node_formatConverter(self, node: RgNode, exchange: Exchange) -> Exchange | None:
         cfg = node.config
         if cfg.direction == "in":
             return self._convert_in(exchange, cfg.format, cfg.relations)
         exchange.raw = from_cdm(exchange.message, FormatSpec(cfg.format), list(cfg.exposed))
-        return [exchange]
+        return exchange
 
-    def _node_contentFilter(self, node: RgNode, exchange: Exchange) -> list[Exchange]:
+    def _node_contentFilter(self, node: RgNode, exchange: Exchange) -> Exchange | None:
         exchange.message = mt_ilp(exchange.message, node.config.rules, list(node.config.exposed))
-        return [exchange]
+        return exchange
 
     _node_translator = _node_contentFilter
 
-    def _node_messageFilter(self, node: RgNode, exchange: Exchange) -> list[Exchange]:
+    def _node_messageFilter(self, node: RgNode, exchange: Exchange) -> Exchange | None:
         # discard messages without facts of the exposed predicates
         exposed = set(node.config.exposed)
         if any(a.predicate in exposed for a in exchange.message.body.facts):
-            return [exchange]
+            return exchange
         self._drop(node.id)
-        return []
+        return None
 
-    def _node_splitter(self, node: RgNode, exchange: Exchange) -> list[Exchange]:
+    def _node_splitter(self, node: RgNode, exchange: Exchange) -> Exchange | None:
         parts = sc_ilp(exchange.message, SplitConfig(node.config.queries))
         if not parts:
             self._drop(node.id)
-            return []
+            return None
         self.report.replicated += len(parts) - 1
-        return [exchange.fork(part) for part in parts]
+        self._count_node(node.id, "produced", len(parts))
+        # each part runs through the rest of the route before any other entry
+        after = self._next_index[node.id]
+        self._work.extendleft((node.route_id, exchange.fork(p), after) for p in reversed(parts))
+        return None
 
-    def _node_enricherCall(self, node: RgNode, exchange: Exchange) -> list[Exchange]:
+    def _node_enricherCall(self, node: RgNode, exchange: Exchange) -> Exchange | None:
         cfg = node.config
         if cfg.channel:
-            reply = self._call_channel(cfg.channel, exchange)
-            exchange.message = merge_messages([exchange.message, reply.message])
+            # the called route enriches a copy of this message: its reply replaces it
+            exchange.message = self._call_channel(cfg.channel, exchange).message
         elif cfg.uri:
             data = to_cdm(self._read_bytes(cfg.uri), FormatSpec(cfg.format, cfg.relations))
             exchange.message = ep_ilp(
@@ -352,9 +357,9 @@ class Engine:
             exchange.message = ep_ilp(
                 exchange.message, EnrichData(DatalogProgram(frozenset(cfg.facts)))
             )
-        return [exchange]
+        return exchange
 
-    def _aggregate(self, node: RgNode, exchange: Exchange) -> list[Exchange]:
+    def _node_aggregator(self, node: RgNode, exchange: Exchange) -> Exchange | None:
         agg = self._agg[node.id]
         if node.config.correlation == "trace":
             key = (exchange.trace_id,)
@@ -366,12 +371,11 @@ class Engine:
         first, started_ms, messages = agg.open.setdefault(key, (exchange, now_ms, []))
         messages.append(exchange.message)
         if not cpc_ilp(messages, agg.config, now_ms - started_ms):
-            return []
+            return None
         del agg.open[key]
-        return [self._emit_aggregate(node, first, messages)]
+        return self._emit_aggregate(node, first, messages)
 
-    _node_aggregator = _aggregate
-    _node_joinAggregator = _aggregate
+    _node_joinAggregator = _node_aggregator
 
     def _emit_aggregate(self, node: RgNode, first: Exchange, messages: list[Message]) -> Exchange:
         # an aggregator's output predicates carry the -aggregate suffix; a join's do not
@@ -380,7 +384,7 @@ class Engine:
         first.message = combine(messages)
         return first
 
-    def _node_toEndpoint(self, node: RgNode, exchange: Exchange) -> list[Exchange]:
+    def _node_toEndpoint(self, node: RgNode, exchange: Exchange) -> Exchange | None:
         cfg = node.config
         payload = exchange.raw
         if payload is None:
@@ -398,7 +402,7 @@ class Engine:
         self.report.produced += 1
         self._count_node(node.id, "produced")
         self.report.per_sink[cfg.uri] = self.report.per_sink.get(cfg.uri, 0) + 1
-        return []
+        return None
 
     # -- endpoint IO -------------------------------------------------------------------
 
@@ -504,37 +508,29 @@ class Engine:
 
     # -- execution ---------------------------------------------------------------------
 
-    def _run_route(self, route_id: str, exchange: Exchange, start: int = 0) -> list[Exchange]:
-        """Drive one exchange through a route; returns the exchanges that
-        reached the end of the pipeline (used by request/reply calls)."""
-        route = self.routes[route_id]
-        current = [exchange]
-        for node in route.nodes[start:]:
-            if not current:
-                return []
-            following: list[Exchange] = []
-            for ex in current:
-                self._count_node(node.id, "consumed")
-                try:
-                    outs = self._handle(node, ex)
-                except _NodeFailure:
-                    raise
-                except Exception as exc:
-                    raise _NodeFailure(node.id, ex, exc) from exc
-                self._count_node(node.id, "produced", len(outs))
-                following.extend(outs)
-            current = following
-        return current
+    def _run_route(self, route_id: str, exchange: Exchange, start: int = 0) -> Exchange | None:
+        """Drive one exchange from node ``start`` until a node stops it; returns it
+        if it passed the route's last node (a request/reply call's reply). Fan-out
+        goes through the worklist: multicast targets at the back, splitter parts at the front."""
+        for node in self.routes[route_id].nodes[start:]:
+            self._count_node(node.id, "consumed")
+            try:
+                exchange = self._handle(node, exchange)
+            except _NodeFailure:
+                raise
+            except Exception as exc:
+                raise _NodeFailure(node.id, exchange, exc) from exc
+            if exchange is None:
+                return None
+            self._count_node(node.id, "produced")
+        return exchange
 
     def _call_channel(self, channel: str, exchange: Exchange) -> Exchange:
         """Request/reply against the route consuming ``channel``."""
-        route_id = self._channel_route[channel]
-        results = self._run_route(route_id, exchange.fork(), start=0)
-        if len(results) != 1:
-            raise EndpointError(
-                f"request/reply on {channel!r} returned {len(results)} exchanges"
-            )
-        return results[0]
+        reply = self._run_route(self._channel_route[channel], exchange.fork())
+        if reply is None:
+            raise EndpointError(f"request/reply on {channel!r} returned no exchange")
+        return reply
 
     def _flush_aggregations(self, force: bool) -> int:
         """Emit the complete collections; with force, every time-based one.
@@ -549,9 +545,13 @@ class Engine:
             for key, (first, started_ms, messages) in list(agg.open.items()):
                 if cpc_ilp(messages, agg.config, now_ms - started_ms) or (force and time_based):
                     del agg.open[key]
-                    merged = self._emit_aggregate(node, first, messages)
-                    self._work.append((node.route_id, merged, agg.position + 1))
-                    emitted += 1
+                    try:
+                        merged = self._emit_aggregate(node, first, messages)
+                    except Exception as exc:  # one failed merge never halts the sweep
+                        self._dead_letter(first, node.id, exc)
+                    else:
+                        self._work.append((node.route_id, merged, self._next_index[node.id]))
+                        emitted += 1
                 elif force:
                     del agg.open[key]
                     self._drop(node.id, len(messages))

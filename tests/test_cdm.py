@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lila
 from lila.cdm import (
     ConversionError,
     FormatSpec,
@@ -150,6 +155,28 @@ def test_non_ground_datalog_fact_is_conversion_error():
     # rules may use variables; only facts must be ground
     msg = to_cdm(b'match("x"). out(m):-match(m).', FormatSpec("datalog"))
     assert atoms(msg.body) == {'match("x")'}
+
+
+_CONFLICT = """
+from lila.cdm import ConversionError, MetaFact, merge_meta
+try:
+    merge_meta(frozenset({MetaFact("ev", "k", 1)}), frozenset({MetaFact("ev", "other", 1)}), "x")
+except ConversionError as exc:
+    print(exc)
+"""
+
+
+def test_meta_conflict_text_does_not_depend_on_the_hash_seed():
+    src = str(Path(lila.__file__).parent.parent)
+    texts = {
+        subprocess.run(
+            [sys.executable, "-c", _CONFLICT],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in ("0", "1")
+    }
+    assert texts == {"x: conflicting meta-facts for 'ev' position 1: 'k' vs 'other'\n"}
 
 
 def test_meta_fact_completeness():

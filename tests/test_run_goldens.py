@@ -133,6 +133,11 @@ def _splitter_order(base: Path):
     return _splitter(base, ["a(1). b(2).", "a(5). b(10).", "a(2). b(1)."])
 
 
+def _splitter_failing_part(base: Path):
+    # the middle payload's a-part divides by zero; its b-part and the others go on
+    return _splitter(base, ["a(1). b(2).", "a(0). b(5).", "a(2). b(1)."])
+
+
 SCENARIOS = {
     "soccer_events": _soccer,
     "soccer_events_split": _soccer_split,
@@ -145,6 +150,7 @@ SCENARIOS = {
     "message_filter_malformed": _message_filter_malformed,
     "divide_by_zero": _divide_by_zero,
     "splitter_order": _splitter_order,
+    "splitter_failing_part": _splitter_failing_part,
 }
 
 

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from lila import compile_source
-from lila.cdm import message
+from lila.cdm import MetaFact, message
 from lila.datalog import parse_atom, parse_rule
 from lila.runtime import (
     EndpointUri,
@@ -301,6 +301,59 @@ def test_poisoned_exchange_goes_to_dead_letter(tmp_path):
     assert "division by zero" in doc["error"]
     # the engine kept running: the good branch still produced output
     assert report.produced >= 1
+
+
+def test_failing_splitter_part_keeps_its_sibling(tmp_path):
+    # the a-part divides by zero; the b-part still reaches the sink
+    source = (
+        "@from(file:in.dl,datalog)\n{a(v). b(v).}\n"
+        "@split()\n{?-a(v). ?-b(v).}\n"
+        "out(y):-a-split(v),y:=10/v.\nout(y):-b-split(v),y:=10/v.\n"
+        "@to(file:out.dl,datalog)\n{out}"
+    )
+    (tmp_path / "in.dl").write_text("a(0). b(5).")
+    report = engine_for(source, tmp_path).run_batch()
+    assert (report.produced, report.errored) == (1, 1)
+    assert report.conserved()
+    assert (tmp_path / "out.dl").read_text() == "out(2).\n"
+
+
+def test_sweep_time_merge_failure_goes_to_dead_letter(tmp_path):
+    # the two messages name position 1 of ev differently, so their union fails
+    # when the end-of-batch sweep completes the time-based collection
+    engine = engine_for(
+        read_corpus("synthetic/aggregate_time.lila"), tmp_path,
+        inject=(
+            message(facts={parse_atom("ev(1)")}, meta={MetaFact("ev", "k", 1)}),
+            message(facts={parse_atom("ev(2)")}, meta={MetaFact("ev", "other", 1)}),
+        ),
+    )
+    report = engine.run_batch()
+    assert (report.consumed, report.errored, report.merged, report.produced) == (2, 1, 1, 0)
+    assert report.conserved()
+    [aggregator] = engine.rg.nodes_of_kind("aggregator")
+    [dead] = (tmp_path / ".deadletter").glob("*.json")
+    doc = json.loads(dead.read_text())
+    assert doc["node"] == aggregator.id and "conflicting meta-facts" in doc["error"]
+
+
+def test_dead_letters_of_one_trace_do_not_overwrite_each_other(tmp_path):
+    # both multicast copies of the one payload fail, each at its own node
+    source = (
+        "@from(file:in.dl,datalog)\n{n(v).}\n"
+        "bad(y):-n(v),y:=v/0.\n"
+        "worse(y):-n(v),y:=10/(v - v).\n"
+        "@to(file:bad.json,json)\n{bad}\n"
+        "@to(file:worse.json,json)\n{worse}"
+    )
+    (tmp_path / "in.dl").write_text("n(1).")
+    report = engine_for(source, tmp_path).run_batch()
+    assert report.errored == 2
+    dead = sorted((tmp_path / ".deadletter").glob("*.json"))
+    assert [p.name for p in dead] == ["t000001-2.json", "t000001.json"]
+    nodes = {json.loads(p.read_text())["node"] for p in dead}
+    assert len(nodes) == 2
+    assert report.conserved()
 
 
 def test_dead_letter_without_a_file_is_reported_as_a_warning():
