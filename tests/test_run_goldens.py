@@ -114,6 +114,27 @@ def _divide_by_zero(base: Path):
     return source, None, {}
 
 
+def _inline_facts(base: Path):
+    # the inline fact limit(5) reaches the rule through an enricher call
+    (base / "in.json").write_text(json.dumps([{"k": 3}, {"k": 7}]))
+    return read_corpus("synthetic/inline_facts.lila"), None, {}
+
+
+def _enrich_after_producer(base: Path):
+    (base / "in.json").write_text(json.dumps([{"k": 1, "name": "a"}, {"k": 2, "name": "b"}]))
+    (base / "extra.json").write_text(json.dumps([{"k": 9, "name": "z"}]))
+    return read_corpus("synthetic/enrich_after_producer.lila"), None, {}
+
+
+def _soccer_enrichment_malformed(base: Path):
+    # each event's enricher call fails on the truncated resource inside the
+    # called route; both copies of both events are dead-lettered there
+    source, bindings, _ = _soccer(base)
+    text = (base / "playerInfo.json").read_text()
+    (base / "playerInfo.json").write_text(text[: len(text) // 2])
+    return source, bindings, {"split_elements": True}
+
+
 def _splitter(base: Path, payloads: list[str]):
     source = (
         "@from(file:inbox,datalog)\n{a(v). b(v).}\n"
@@ -151,6 +172,9 @@ SCENARIOS = {
     "divide_by_zero": _divide_by_zero,
     "splitter_order": _splitter_order,
     "splitter_failing_part": _splitter_failing_part,
+    "inline_facts": _inline_facts,
+    "enrich_after_producer": _enrich_after_producer,
+    "soccer_enrichment_malformed": _soccer_enrichment_malformed,
 }
 
 
