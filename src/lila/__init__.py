@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 
 class LilaError(Exception):
-    """Base class for all errors raised by this package."""
+    """A program that fails validation; raised by ``compile_source``."""
 
 
 def compile_source(source: str, bindings: dict[str, str] | None = None):

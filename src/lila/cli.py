@@ -22,7 +22,7 @@ from .parser import (
     unresolved_placeholders,
     validate_program,
 )
-from .runtime import RunOptions, WiringError, run
+from .runtime import Engine, RunOptions, WiringError
 from .synthesis import SynthesisError, export_rg_dot, rg_to_json, synthesize_routes
 
 EXIT_OK = 0
@@ -137,12 +137,12 @@ def cmd_run(args, stdout, stderr) -> int:
     )
     options = RunOptions(
         base_dir=base_dir,
-        mode="watch" if args.watch else "batch",
         split_elements=args.split_elements,
         watch_duration_ms=args.watch_duration_ms,
     )
     try:
-        report = run(synthesize_routes(ldg), options)
+        engine = Engine(synthesize_routes(ldg), options)
+        report = engine.run_watch() if args.watch else engine.run_batch()
     except (LdgError, SynthesisError, WiringError) as exc:
         print(f"error: {exc}", file=stderr)
         return EXIT_FAIL

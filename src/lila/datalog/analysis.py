@@ -27,7 +27,8 @@ def _expr_atoms(expr: Expr) -> list[Atom]:
 
 
 def _all_atoms(program: DatalogProgram) -> list[Atom]:
-    atoms: list[Atom] = list(program.facts) + list(program.queries)
+    # queries first: the first atom of a predicate fixes the arity it is checked against
+    atoms: list[Atom] = list(program.queries) + list(program.facts)
     for rule in program.rules:
         atoms.append(rule.head)
         for elem in rule.body:

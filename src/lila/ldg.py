@@ -324,12 +324,13 @@ def prune_unused(ldg: Ldg) -> Ldg:
 
 def aggregator_config(node: LdgNode):
     """AggregatorConfig for an aggregator node (annotation params + queries)."""
+    if node.annotation.params[0] != "union":
+        raise LdgError(f"unsupported aggregation strategy in {node.id}")
     completion = parse_completion(node.annotation.params[1])
     if completion is None:
         raise LdgError(f"invalid completion condition in {node.id}")
     kind, value = completion
     return AggregatorConfig(
-        strategy=node.annotation.params[0],
         completion_size=value if kind == "size" else None,
         completion_time_ms=value if kind == "time" else None,
         correlation_queries=node.annotation.queries,

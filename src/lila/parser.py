@@ -487,32 +487,17 @@ def validate_program(program: LilaProgram) -> list[Diagnostic]:
                     )
                 )
 
-    # declared relations fix predicate arities; embedded fragments must agree
-    pseudo_facts = set()
-    for ann in program.annotations:
-        for decl in ann.declarations:
-            pseudo_facts.add(Atom(decl.predicate, tuple(Variable(p) for p in decl.params)))
-    combined = DatalogProgram(
-        frozenset(program.facts), program.rules, tuple(q for a in program.annotations for q in a.queries)
+    # declared relations come first, so their arities are the reference that
+    # inline facts, rules and annotation queries are checked against
+    declared = tuple(
+        Atom(decl.predicate, tuple(Variable(p) for p in decl.params))
+        for ann in program.annotations
+        for decl in ann.declarations
     )
-    for diag in validate_datalog(combined):
-        if diag.code == "non-ground-fact":
-            continue  # inline facts were checked at parse time
-        diags.append(diag)
-    arities: dict[str, int] = {}
-    for atom in pseudo_facts:
-        arities[atom.predicate] = atom.arity
-    for rule in program.rules:
-        for elem in (rule.head, *rule.body):
-            if isinstance(elem, Atom) and elem.predicate in arities:
-                if elem.arity != arities[elem.predicate]:
-                    diags.append(
-                        Diagnostic(
-                            "error", "arity-conflict",
-                            f"'{elem.predicate}' declared with arity {arities[elem.predicate]} "
-                            f"but used with arity {elem.arity} in {rule}",
-                        )
-                    )
+    queries = tuple(q for a in program.annotations for q in a.queries)
+    diags.extend(
+        validate_datalog(DatalogProgram(frozenset(program.facts), program.rules, declared + queries))
+    )
     return diags
 
 

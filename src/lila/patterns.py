@@ -1,7 +1,7 @@
 """Integration patterns whose content functions are evaluated as Datalog (ILP).
 
 Each operation takes CDM messages and pattern configuration (queries,
-mappings, strategies) and delegates the content decision to Datalog
+rules, completion conditions) and delegates the content decision to Datalog
 evaluation. These are the functions the runtime's route-graph nodes call,
 one per semantic: ``mt_ilp`` (content filter, translator), ``sc_ilp``
 (splitter), ``crc_ilp``/``cpc_ilp``/``as_ilp`` (aggregator correlation,
@@ -48,14 +48,11 @@ class EnrichmentError(Exception):
 
 @dataclass(frozen=True)
 class AggregatorConfig:
-    strategy: str = "union"
     completion_size: int | None = None
     completion_time_ms: int | None = None
     correlation_queries: tuple[Atom, ...] = ()
 
     def __post_init__(self):
-        if self.strategy != "union":
-            raise PatternConfigError(f"unsupported aggregation strategy {self.strategy!r}")
         size_set = self.completion_size is not None
         time_set = self.completion_time_ms is not None
         if size_set == time_set:

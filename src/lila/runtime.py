@@ -61,7 +61,6 @@ class EndpointError(Exception):
 class EndpointUri:
     scheme: str  # file | direct | mock
     path: str
-    original: str
 
     @classmethod
     def parse(cls, text: str) -> "EndpointUri":
@@ -70,11 +69,11 @@ class EndpointUri:
         scheme, sep, rest = text.partition(":")
         if not sep:
             # bare filenames (the enricher's <filename> parameter) are files
-            return cls("file", text, text)
+            return cls("file", text)
         if scheme in KNOWN_SCHEMES:
-            return cls(scheme, rest, text)
+            return cls(scheme, rest)
         # external transports (twitter, jdbc, ...) are captured by mock sinks
-        return cls("mock", text, text)
+        return cls("mock", text)
 
 
 @dataclass
@@ -103,7 +102,6 @@ def _now_ms() -> int:
 @dataclass
 class RunOptions:
     base_dir: Path | None = None
-    mode: str = "batch"  # batch | watch
     split_elements: bool = False  # one payload per JSON array element
     capture_only: bool = False  # all sinks behave like mock sinks
     inject: tuple[Message, ...] = ()  # pre-built CDM messages, skip endpoints
@@ -156,7 +154,6 @@ class _Aggregation:
         cfg = node.config
         self.node = node
         self.config = AggregatorConfig(
-            strategy=cfg.strategy or "union",
             completion_size=cfg.completion_size,
             completion_time_ms=cfg.completion_time_ms,
             correlation_queries=cfg.queries,
@@ -607,11 +604,3 @@ class Engine:
             self._drain()
             stop.wait(self.options.watch_poll_ms / 1000)
         return self._finish(started)
-
-
-def run(rg: RouteGraph, options: RunOptions | None = None) -> RunReport:
-    """Execute a route graph to quiescence (batch) or until stopped (watch)."""
-    engine = Engine(rg, options)
-    if engine.options.mode == "watch":
-        return engine.run_watch()
-    return engine.run_batch()

@@ -6,11 +6,11 @@ place, in this order:
 
   1. enricher expansion: every ``@enrich`` becomes its own route headed by a
      direct channel; each consumer gets an enricher-call node that invokes
-     that route request/reply and merges the returned facts via union (the
-     built-in join with union strategy). Inline fact nodes become local
+     that route request/reply and takes its reply, the consumer's message
+     with the resource's facts added. Inline fact nodes become local
      enricher calls without a route.
   2. join router: nodes still fed by more than one channel get a from-direct
-     plus a join aggregator (completionSize = in-degree, union strategy).
+     plus a join aggregator that unions its inputs (completionSize = in-degree).
   3. multicast: nodes feeding more than one channel get a multicast node
      referencing the successors' direct channels; successors become routes.
 
@@ -52,13 +52,11 @@ class PatternConfig:
     rules: tuple[Rule, ...] = ()
     channel: str = ""  # fromDirect/toDirect/enricherCall target
     targets: tuple[str, ...] = ()  # multicast recipient list
-    strategy: str = ""
     completion_size: int | None = None
     completion_time_ms: int | None = None
     correlation: str = ""  # joinAggregator: "trace"; aggregator: "queries"
     queries: tuple[Atom, ...] = ()
     facts: tuple[Atom, ...] = ()
-    num_msgs_to_agg: int | None = None
 
 
 @dataclass(frozen=True)
@@ -81,14 +79,14 @@ class RgNode:
         if self.kind == "multicast":
             return f"multicast({','.join(cfg.targets)})"
         if self.kind == "joinAggregator":
-            return f"join-aggregate(size={cfg.completion_size},{cfg.strategy})"
+            return f"join-aggregate(size={cfg.completion_size},union)"
         if self.kind == "aggregator":
             completion = (
                 f"completionSize={cfg.completion_size}"
                 if cfg.completion_size is not None
                 else f"completionTime={cfg.completion_time_ms}ms"
             )
-            return f"aggregate({cfg.strategy},{completion})"
+            return f"aggregate(union,{completion})"
         if self.kind == "splitter":
             return f"split({','.join(q.predicate for q in cfg.queries)})"
         if self.kind == "contentFilter":
@@ -202,13 +200,7 @@ def _join_fragment(channel: str, in_degree: int, correlation: str) -> list[_Prot
     return [
         _Proto("fromDirect", PatternConfig(channel=channel)),
         _Proto(
-            "joinAggregator",
-            PatternConfig(
-                strategy="union",
-                completion_size=in_degree,
-                num_msgs_to_agg=in_degree,
-                correlation=correlation,
-            ),
+            "joinAggregator", PatternConfig(completion_size=in_degree, correlation=correlation)
         ),
     ]
 
@@ -282,7 +274,6 @@ class _Builder:
                 _Proto(
                     "aggregator",
                     PatternConfig(
-                        strategy=cfg.strategy,
                         completion_size=cfg.completion_size,
                         completion_time_ms=cfg.completion_time_ms,
                         queries=node.annotation.queries,
@@ -337,23 +328,14 @@ class _Builder:
                 channel = self._alloc_channel(_channel_base(node))
                 reader = _Proto(
                     "enricherCall",
-                    PatternConfig(
-                        uri=ann.uri,
-                        format=ann.format(),
-                        relations=ann.declarations,
-                        strategy="union",
-                    ),
+                    PatternConfig(uri=ann.uri, format=ann.format(), relations=ann.declarations),
                 )
                 self.extra_routes.append(
                     (channel, [_Proto("fromDirect", PatternConfig(channel=channel)), reader])
                 )
-                call_config = PatternConfig(
-                    channel=channel, strategy="union", num_msgs_to_agg=2
-                )
+                call_config = PatternConfig(channel=channel)
             else:
-                call_config = PatternConfig(facts=node.facts, strategy="union")
-                if node.kind == "inlineFacts" and not preds and not succs:
-                    continue
+                call_config = PatternConfig(facts=node.facts)
 
             if preds:
                 # relation produced elsewhere: enrich directly after the producer
@@ -558,7 +540,6 @@ def _config_json(cfg: PatternConfig) -> dict:
         ("format", cfg.format),
         ("direction", cfg.direction),
         ("channel", cfg.channel),
-        ("strategy", cfg.strategy),
         ("correlation", cfg.correlation),
     ):
         if value:
@@ -579,8 +560,6 @@ def _config_json(cfg: PatternConfig) -> dict:
         out["completionSize"] = cfg.completion_size
     if cfg.completion_time_ms is not None:
         out["completionTimeMs"] = cfg.completion_time_ms
-    if cfg.num_msgs_to_agg is not None:
-        out["numOfMsgsToAgg"] = cfg.num_msgs_to_agg
     return out
 
 

@@ -168,10 +168,9 @@ def test_run_watch_mode_terminates(soccer_file, tmp_path):
 
 
 def test_run_strict_fails_on_unconserved_report(soccer_file, tmp_path, monkeypatch):
-    import lila.cli
-    from lila.runtime import RunReport
+    from lila.runtime import Engine, RunReport
 
-    monkeypatch.setattr(lila.cli, "run", lambda rg, options: RunReport(consumed=1))
+    monkeypatch.setattr(Engine, "run_batch", lambda self: RunReport(consumed=1))
     argv = ("run", str(soccer_file), "--bind", "config=playerFeed", "--base-dir", str(tmp_path))
     status, out, _ = run_cli(*argv)
     assert status == 0

@@ -7,8 +7,10 @@ import pytest
 
 from lila.ldg import (
     CycleError,
+    LdgError,
     SuffixAmbiguityError,
     UnresolvedDependencyError,
+    aggregator_config,
     build_ldg,
     export_ldg_dot,
     prune_unused,
@@ -186,6 +188,17 @@ def test_upstream_reference_binds_before_aggregator():
     assert ("from:file:x.dl", "proc:pre") in ldg.edges
     assert ("aggregate:1", "proc:post") in ldg.edges
     assert ("aggregate:1", "proc:pre") not in ldg.edges
+
+
+def test_aggregator_config_rejects_unvalidated_strategy():
+    source = (
+        "@from(file:x.dl,datalog)\n{a(v).}\n"
+        "@aggregate(intersect,completionSize=2)\n{?-a(v).}\n"
+        "@to(file:y.dl)\n{a-aggregate}"
+    )
+    node = node_of(ldg_for(source), "aggregate:1")
+    with pytest.raises(LdgError, match="strategy"):
+        aggregator_config(node)
 
 
 def test_downstream_raw_reference_is_ambiguity_error():

@@ -244,11 +244,15 @@ def test_validate_all_synthetic_programs_clean():
 
 
 def test_validate_declared_arity_disagreement():
-    program = parse(
-        "@from(file:x.json,json)\n{r(a,b).}\nout(x):-r(x).\n@to(file:y.json,json)\n{out}"
-    )
-    codes = {d.code for d in errors(validate_program(program))}
-    assert "arity-conflict" in codes
+    # a rule, a splitter query and an inline fact, each against the declaration
+    for body in (
+        "out(x):-a(x).\n@to(file:y.json,json)\n{out}",
+        "@split()\n{?-a(x).}\nb(x):-a-split(x).\n@to(file:out)\n{b}",
+        "a(1).\n@to(file:out)\n{a}",
+    ):
+        program = parse("@from(file:in.dl,datalog)\n{a(x,y).}\n" + body)
+        conflicts = [d for d in errors(validate_program(program)) if d.code == "arity-conflict"]
+        assert [d.message for d in conflicts] == ["predicate 'a' used with arity 1 and 2"], body
 
 
 def test_validate_bad_aggregate_params():
