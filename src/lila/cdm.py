@@ -19,8 +19,8 @@ from .datalog.parser import parse_program
 
 FORMATS = ("json", "csv", "datalog")
 
-_INT_RE = re.compile(r"-?\d+$")
-_FLOAT_RE = re.compile(r"-?\d+\.\d+([eE][+-]?\d+)?$")
+_INT_RE = re.compile(r"-?\d+")
+_FLOAT_RE = re.compile(r"-?\d+\.\d+([eE][+-]?\d+)?")
 
 
 class ConversionError(Exception):
@@ -122,9 +122,9 @@ def _term_from_json(value, record_index: int, key: str) -> Term:
 
 
 def _term_from_csv(cell: str) -> Term:
-    if _INT_RE.match(cell):
+    if _INT_RE.fullmatch(cell):
         return NumberConst(int(cell))
-    if _FLOAT_RE.match(cell):
+    if _FLOAT_RE.fullmatch(cell):
         return NumberConst(float(cell))
     return StringConst(cell)
 

@@ -37,7 +37,7 @@ class StringConst(Term):
     value: str
 
     def __str__(self) -> str:
-        escaped = self.value.replace("\\", "\\\\").replace('"', '\\"')
+        escaped = self.value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
         return f'"{escaped}"'
 
 

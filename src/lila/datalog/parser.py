@@ -8,6 +8,11 @@ Accepted statements:
 
 ``%`` starts a line comment. Whitespace is insignificant. Identifiers match
 ``[A-Za-z][A-Za-z0-9_-]*`` so hyphenated predicates are single tokens.
+
+Message payloads are mostly ground facts, so ``parse_program`` first reads
+the text as a sequence of facts over unsigned numbers and plain double-quoted
+strings, one regular expression match per fact. Anything else is parsed
+from the start by the tokenizer and the recursive-descent parser.
 """
 
 from __future__ import annotations
@@ -259,8 +264,52 @@ def _number(text: str) -> NumberConst:
     return NumberConst(float(text) if "." in text else int(text))
 
 
+_CONST = r'\d+\.\d+|\d+|"[^"\\\n]*"'
+# one ground fact: pred. | pred() | pred(const, ...). with free whitespace
+_FACT_RE = re.compile(
+    rf"\s*([A-Za-z][A-Za-z0-9_-]*)\s*"
+    rf"(?:\(\s*((?:{_CONST})(?:\s*,\s*(?:{_CONST}))*)?\s*\)\s*)?\."
+)
+_CONST_RE = re.compile(_CONST)
+_TRAILING_WS_RE = re.compile(r"\s*")
+
+
+def _ground_facts(text: str) -> DatalogProgram | None:
+    """The program of a text made of ground facts only, or None otherwise."""
+    facts: list[Atom] = []
+    terms: dict[str, Term] = {}  # one constant object per distinct spelling
+    match_fact, end = _FACT_RE.match, len(text)
+    pos = 0
+    while (m := match_fact(text, pos)) is not None:
+        pos = m.end()
+        predicate, args = m.groups()
+        if not args:
+            facts.append(Atom(predicate, ()))
+            continue
+        atom_terms = []
+        for const in _CONST_RE.findall(args):
+            term = terms.get(const)
+            if term is None:
+                term = terms[const] = (
+                    StringConst(const[1:-1]) if const[0] == '"' else _number(const)
+                )
+            atom_terms.append(term)
+        facts.append(Atom(predicate, tuple(atom_terms)))
+    if _TRAILING_WS_RE.match(text, pos).end() != end:
+        return None
+    return DatalogProgram(frozenset(facts))
+
+
 def parse_program(text: str) -> DatalogProgram:
     """Parse a full textual Datalog program (facts, rules, queries)."""
+    program = _ground_facts(text)
+    if program is not None:
+        return program
+    return _parse_tokens(text)
+
+
+def _parse_tokens(text: str) -> DatalogProgram:
+    """Parse any program with the tokenizer and the recursive-descent parser."""
     parser = _Parser(tokenize(text))
     facts: list[Atom] = []
     rules: list[Rule] = []

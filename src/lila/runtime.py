@@ -101,7 +101,7 @@ def _now_ms() -> int:
 
 @dataclass
 class RunOptions:
-    base_dir: Path | None = None
+    base_dir: Path | None = None  # None: the working directory when the Engine is built
     split_elements: bool = False  # one payload per JSON array element
     capture_only: bool = False  # all sinks behave like mock sinks
     inject: tuple[Message, ...] = ()  # pre-built CDM messages, skip endpoints
@@ -194,6 +194,11 @@ class Engine:
         self._trace_seq = 0
         self._sink_seq: dict[str, int] = {}
         self._sink_targets: dict[str, Path] = {}
+        # per enricher node reading a resource: its resolved path, and the
+        # file's (st_mtime_ns, st_size) with the enrichment converted from it
+        self._enrich_paths: dict[str, Path] = {}
+        self._enrichments: dict[str, tuple[tuple[int, int], EnrichData]] = {}
+        self._base = (self.options.base_dir or Path.cwd()).resolve()
         self._uris = self._wired()
 
     # -- wiring ---------------------------------------------------------------
@@ -237,9 +242,8 @@ class Engine:
     # -- filesystem ---------------------------------------------------------------
 
     def _resolve(self, path: str) -> Path:
-        base = (self.options.base_dir or Path.cwd()).resolve()
-        target = (base / path).resolve()
-        if target != base and base not in target.parents:
+        target = (self._base / path).resolve()
+        if target != self._base and self._base not in target.parents:
             raise EndpointError(f"path {path!r} escapes the base directory")
         return target
 
@@ -346,10 +350,7 @@ class Engine:
             # the called route enriches a copy of this message: its reply replaces it
             exchange.message = self._call_channel(cfg.channel, exchange).message
         elif cfg.uri:
-            data = to_cdm(self._read_bytes(cfg.uri), FormatSpec(cfg.format, cfg.relations))
-            exchange.message = ep_ilp(
-                exchange.message, EnrichData(data.body, data.header.meta_facts)
-            )
+            exchange.message = ep_ilp(exchange.message, self._enrichment(node))
         else:
             exchange.message = ep_ilp(
                 exchange.message, EnrichData(DatalogProgram(frozenset(cfg.facts)))
@@ -403,13 +404,30 @@ class Engine:
 
     # -- endpoint IO -------------------------------------------------------------------
 
-    def _read_bytes(self, uri_text: str) -> bytes:
-        uri = EndpointUri.parse(uri_text)
-        if uri.scheme == "mock":
-            raise EndpointError(f"cannot consume from mock URI {uri_text!r}")
-        if uri.scheme == "file":
-            return self._resolve(uri.path).read_bytes()
-        raise EndpointError(f"cannot read from {uri_text!r}")
+    def _enrichment(self, node: RgNode) -> EnrichData:
+        """An enricher's resource, converted again only when its file changed.
+
+        The stamp is taken before the read, so a file rewritten during the
+        read is read again on the next call. Failures are not kept: every
+        call that meets them raises again."""
+        cfg = node.config
+        path = self._enrich_paths.get(node.id)
+        if path is None:
+            uri = EndpointUri.parse(cfg.uri)
+            if uri.scheme == "mock":
+                raise EndpointError(f"cannot consume from mock URI {cfg.uri!r}")
+            if uri.scheme != "file":
+                raise EndpointError(f"cannot read from {cfg.uri!r}")
+            path = self._enrich_paths[node.id] = self._resolve(uri.path)
+        st = path.stat()
+        stamp = (st.st_mtime_ns, st.st_size)
+        cached = self._enrichments.get(node.id)
+        if cached is not None and cached[0] == stamp:
+            return cached[1]
+        data = to_cdm(path.read_bytes(), FormatSpec(cfg.format, cfg.relations))
+        enrichment = EnrichData(data.body, data.header.meta_facts)
+        self._enrichments[node.id] = (stamp, enrichment)
+        return enrichment
 
     _EXTENSIONS = {"json": "json", "csv": "csv", "datalog": "dl"}
 

@@ -90,6 +90,22 @@ def test_csv_missing_column_is_error():
         to_cdm(b"matching\ntrue\n", FormatSpec("csv", (MATCH_2,)))
 
 
+def test_csv_cell_with_trailing_newline_stays_a_string():
+    payload = b'a,b\n"12\n",x\n"3.5\n",y\n'
+    msg = to_cdm(payload, FormatSpec("csv", (RelationDecl("r", ("a", "b")),)))
+    assert {a.terms[0] for a in msg.body.facts} == {StringConst("12\n"), StringConst("3.5\n")}
+
+
+def test_strings_survive_json_to_datalog_and_back():
+    values = ["x\ny", 'say "hi"', "back\\slash", "tab\there", "all\n\"\\\t"]
+    decl = RelationDecl("s", ("v",))
+    msg = to_cdm(json.dumps([{"v": v} for v in values]).encode(), FormatSpec("json", (decl,)))
+    payload = from_cdm(msg, FormatSpec("datalog"), ["s"])
+    again = to_cdm(payload, FormatSpec("datalog", (decl,)))
+    assert again.body.facts == msg.body.facts
+    assert {a.terms[0].value for a in again.body.facts} == set(values)
+
+
 def test_datalog_passthrough():
     payload = b'match("true").\nmeta-ish(1).\nhelper(x):-match(x).'
     msg = to_cdm(payload, FormatSpec("datalog", (MATCH_1,)))

@@ -8,7 +8,7 @@ import time
 from collections import deque
 
 import pytest
-from hypothesis import given, note, settings
+from hypothesis import example, given, note, settings
 from hypothesis import strategies as st
 
 from lila.datalog import (
@@ -25,6 +25,7 @@ from lila.datalog import (
     rule_dependency_graph,
     validate,
 )
+from lila.datalog.parser import _ground_facts, _parse_tokens
 
 from .generators import random_builtin_program, random_program
 from .oracles import (
@@ -86,6 +87,95 @@ def test_roundtrip_program_text():
     source = 'e(1,2).\nt(x,z):-e(x,y),t(y,z).\n?-t(x,y).'
     program = parse_program(source)
     assert parse_program(str(program)) == program
+
+
+def _typed(program: DatalogProgram):
+    # NumberConst(1) == NumberConst(1.0): compare each constant's Python type too
+    def term(t):
+        return type(t).__name__, type(getattr(t, "value", None)).__name__, str(t)
+
+    facts = {(a.predicate, tuple(term(t) for t in a.terms)) for a in program.facts}
+    return facts, [str(r) for r in program.rules], [str(q) for q in program.queries]
+
+
+def _parsed(parse, text: str):
+    try:
+        return "ok", _typed(parse(text))
+    except DatalogSyntaxError as exc:
+        return "error", str(exc), exc.line, exc.col, exc.expected
+
+
+_WS = st.sampled_from(["", " ", "\n", "\t", " \n  "])
+_FAST_CONST = st.one_of(
+    st.integers(0, 10**20).map(str),
+    st.sampled_from(["1", "1.0", "0.5", "12.25", "007"]),
+    st.text(alphabet="ab %,)(.\t'", max_size=4).map(lambda s: f'"{s}"'),
+)
+_OTHER_CONST = st.sampled_from(
+    ["-1", "- 2", "x", "_", '"a\\"b"', '"x\\ny"', "'s'", "1.", "1a", ""]
+)
+_OTHER_STATEMENT = st.sampled_from([
+    "q(x) :- p(x).", "?- p(x).", "% note, with ) and \"\n", "r(x):-p(x),x>1.",
+    "p(1", "p(1,).", 'p("a).', ").", "p(1)..", "p(1).2", "p q.", "p.5",
+])
+
+
+@st.composite
+def _fact(draw, const):
+    ws = lambda: draw(_WS)  # noqa: E731
+    name = draw(st.from_regex(r"[A-Za-z][A-Za-z0-9_-]{0,3}", fullmatch=True))
+    args = draw(st.none() | st.lists(const, max_size=3))
+    if args is None:
+        return f"{name}{ws()}."
+    inner = "".join((f"{ws()},{ws()}" if i else "") + a for i, a in enumerate(args))
+    return f"{name}{ws()}({ws()}{inner}{ws()}){ws()}."
+
+
+@st.composite
+def _payload(draw):
+    """A datalog payload, and whether it holds only facts the fast path reads."""
+    statements, fast = [], True
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["fast"] * 4 + ["other-const", "other"]))
+        if kind == "fast":
+            statements.append(draw(_fact(_FAST_CONST)))
+            continue
+        fast = False
+        if kind == "other-const":
+            statements.append(draw(_fact(st.one_of(_FAST_CONST, _OTHER_CONST))))
+        else:
+            statements.append(draw(_OTHER_STATEMENT))
+    return draw(_WS).join(statements) + draw(_WS), fast
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_payload())
+@example(case=("p.", True))
+@example(case=("p()", False))
+@example(case=("p( ) .\nq\n(\n1\n,\n\"a\"\n)\n.", True))
+@example(case=("p(1). p(1.0). p(1.0). p(1).", True))
+@example(case=("p(1.0). p(1).", True))
+@example(case=('s("%", ",", ")", "(", "a b").', True))
+@example(case=('s("a\\"b"). s("x\\ny").', False))
+@example(case=("p(-1). p(- 2.5).", False))
+@example(case=("p(1). % comment\nq(2).", False))
+@example(case=("p(1). q(x) :- p(x). ?- q(y).", False))
+@example(case=("p(x). q(_).", False))
+@example(case=("p(1)\nq(2).", False))
+def test_ground_fact_fast_path_agrees_with_the_tokenizer(case):
+    text, fast = case
+    note(repr(text))
+    if fast:
+        assert _ground_facts(text) is not None
+    assert _parsed(parse_program, text) == _parsed(_parse_tokens, text)
+
+
+def test_ground_fact_fast_path_keeps_ints_and_floats_apart():
+    program = _ground_facts("p(1). q(1.0). r(1.0). r(1).")
+    [p], [q], [r] = (
+        [a.terms[0].value for a in program.facts if a.predicate == name] for name in "pqr"
+    )
+    assert type(p) is int and type(q) is float and type(r) is float
 
 
 # --- evaluation ------------------------------------------------------------

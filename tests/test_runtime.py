@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+import lila.runtime
 from lila import compile_source
 from lila.cdm import MetaFact, message
 from lila.datalog import parse_atom, parse_rule
@@ -128,6 +129,27 @@ def test_soccer_split_elements_mode(tmp_path, soccer_source):
     assert report.conserved()
     [tweet] = engine.mock_sink("twitter:playerFeed")
     assert json.loads(tweet) == [{"period": 1, "time": 10, "firstN": "A", "lastN": "B"}]
+
+
+def test_enrichment_resource_is_converted_once_per_run(tmp_path, soccer_source, monkeypatch):
+    write_soccer_fixtures(tmp_path)
+    events = [{"period": 1, "time": t, "eventCode": c, "pId": 7}
+              for t, c in [(10, "Goal"), (20, "BallReception"), (30, "Goal")]]
+    (tmp_path / "gameEvents.json").write_text(json.dumps(events))
+    resource = (tmp_path / "playerInfo.json").read_bytes()
+    payloads = []
+
+    def counting(payload, spec):
+        payloads.append(payload)
+        return to_cdm(payload, spec)
+
+    to_cdm = lila.runtime.to_cdm
+    monkeypatch.setattr(lila.runtime, "to_cdm", counting)
+    engine = engine_for(soccer_source, tmp_path, {"config": "playerFeed"}, split_elements=True)
+    report = engine.run_batch()
+    assert report.produced == 3 and report.errored == 0
+    # six enricher calls, one per event and branch, share one conversion
+    assert sum(p == resource for p in payloads) == 1
 
 
 def test_missing_source_file_warns_and_consumes_nothing(tmp_path, soccer_source):
@@ -520,6 +542,58 @@ def test_watch_state_forgets_deleted_files_and_rereads_rewritten_ones(tmp_path):
     assert set(engine._watched[route_id]) == {rewritten}
     assert engine.report.consumed == 4
     assert engine.report.produced == 4
+
+
+def _touch_later(path) -> None:
+    # a stamp that surely differs, whatever the filesystem's time granularity
+    stat = path.stat()
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1_000_000_000))
+
+
+def test_watch_rereads_a_rewritten_enrichment_resource(tmp_path, soccer_source):
+    write_soccer_fixtures(tmp_path)
+    engine = engine_for(soccer_source, tmp_path, {"config": "feed"}, capture_only=True)
+    engine._poll_sources()
+    engine._drain()
+    players, events = tmp_path / "playerInfo.json", tmp_path / "gameEvents.json"
+    players.write_text(json.dumps([{"pId": 7, "firstN": "E", "lastN": "F"}]))
+    events.write_text(json.dumps([{"period": 2, "time": 5, "eventCode": "Goal", "pId": 7}]))
+    _touch_later(players)
+    _touch_later(events)
+    engine._poll_sources()
+    engine._drain()
+    assert [json.loads(p) for p in engine.mock_sink("twitter:feed")] == [
+        [{"period": 1, "time": 10, "firstN": "A", "lastN": "B"}],
+        [{"period": 2, "time": 5, "firstN": "E", "lastN": "F"}],
+    ]
+    assert engine.report.errored == 0 and engine.report.conserved()
+
+
+def test_failed_enrichment_is_not_kept(tmp_path, soccer_source):
+    write_soccer_fixtures(tmp_path)
+    players = tmp_path / "playerInfo.json"
+    text = players.read_text()
+    players.write_text(text[: len(text) // 2])
+    engine = engine_for(soccer_source, tmp_path, {"config": "feed"}, capture_only=True)
+    engine._poll_sources()
+    engine._drain()
+    assert engine.report.errored == 2  # each branch's call fails on its own
+    players.write_text(text)
+    _touch_later(tmp_path / "gameEvents.json")
+    engine._poll_sources()
+    engine._drain()
+    assert engine.report.errored == 2 and engine.report.produced == 2
+
+
+def test_default_base_dir_is_the_working_directory_at_construction(tmp_path, monkeypatch):
+    inbox = tmp_path / "first" / "data" / "testMessageFilter"
+    inbox.mkdir(parents=True)
+    (inbox / "0.dl").write_text('match("true").')
+    (tmp_path / "second").mkdir()
+    monkeypatch.chdir(tmp_path / "first")
+    engine = Engine(compile_source(read_corpus("message_filter.lila")), RunOptions(capture_only=True))
+    monkeypatch.chdir(tmp_path / "second")
+    assert engine.run_batch().produced == 1
 
 
 def test_file_sink_indexes_multiple_payloads(tmp_path):
