@@ -199,7 +199,10 @@ def to_cdm(payload: bytes, spec: FormatSpec) -> Message:
 
     One fact per record; undeclared fields are dropped; meta-facts for all
     declared relations are placed in the header. ``datalog`` payloads pass
-    through parsed, without projection; their facts must be ground.
+    through parsed, without projection; their facts must be ground. A CSV
+    cell is a number only when all of it is one. The conversion is pure, so
+    a caller may keep its result for as long as the payload is unchanged (the
+    runtime does so for enrichment resources).
     """
     meta = frozenset(m for d in spec.declared_relations for m in d.meta_facts())
     if spec.format == "datalog":

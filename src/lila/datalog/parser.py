@@ -271,14 +271,13 @@ _FACT_RE = re.compile(
     rf"(?:\(\s*((?:{_CONST})(?:\s*,\s*(?:{_CONST}))*)?\s*\)\s*)?\."
 )
 _CONST_RE = re.compile(_CONST)
-_TRAILING_WS_RE = re.compile(r"\s*")
 
 
 def _ground_facts(text: str) -> DatalogProgram | None:
     """The program of a text made of ground facts only, or None otherwise."""
     facts: list[Atom] = []
     terms: dict[str, Term] = {}  # one constant object per distinct spelling
-    match_fact, end = _FACT_RE.match, len(text)
+    match_fact = _FACT_RE.match
     pos = 0
     while (m := match_fact(text, pos)) is not None:
         pos = m.end()
@@ -295,7 +294,7 @@ def _ground_facts(text: str) -> DatalogProgram | None:
                 )
             atom_terms.append(term)
         facts.append(Atom(predicate, tuple(atom_terms)))
-    if _TRAILING_WS_RE.match(text, pos).end() != end:
+    if text[pos:].strip():  # a statement that is not a ground fact
         return None
     return DatalogProgram(frozenset(facts))
 

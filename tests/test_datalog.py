@@ -170,14 +170,6 @@ def test_ground_fact_fast_path_agrees_with_the_tokenizer(case):
     assert _parsed(parse_program, text) == _parsed(_parse_tokens, text)
 
 
-def test_ground_fact_fast_path_keeps_ints_and_floats_apart():
-    program = _ground_facts("p(1). q(1.0). r(1.0). r(1).")
-    [p], [q], [r] = (
-        [a.terms[0].value for a in program.facts if a.predicate == name] for name in "pqr"
-    )
-    assert type(p) is int and type(q) is float and type(r) is float
-
-
 # --- evaluation ------------------------------------------------------------
 
 
